@@ -143,7 +143,7 @@ def cmd_evaluate(args) -> int:
     report = evaluate(net, ds)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    save_window_accuracies(report.accuracy, ds, out / "window_accuracy.csv")
+    save_window_accuracies(report.accuracy, out / "window_accuracy.csv")
     save_summaries([(Path(args.dataset).stem, report)], out / "summary.csv")
     s = report.accuracy.summary
     print(f"{len(report.accuracy.per_window)} windows; median {s.median:.3f} "

@@ -136,10 +136,6 @@ class WindowedDataset:
     def __len__(self) -> int:
         return self.X.shape[0]
 
-    def sample(self, i: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """(X_i, Y_i, anchor p) for one window."""
-        return self.X[i], self.Y[i], int(self.anchors[i])
-
 
 def pair_count(L: int, n: int, m: int, w: int) -> int:
     """Number of valid anchors for a series of length L."""

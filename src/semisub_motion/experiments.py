@@ -24,8 +24,7 @@ import numpy as np
 from .dataset import (NormalizationConstants, WindowedDataset,
                       compute_norm_constants, split_campaign)
 from .errors import ConfigurationError
-from .metrics import (SUMMARY_HEADER, EvaluationReport, evaluate,
-                      summary_row)
+from .metrics import SUMMARY_HEADER, EvaluationReport, evaluate, save_summaries
 from .network import Network, forward, init_network, save_checkpoint
 from .training import EpochRecord, TrainingConfig, train
 from .vessel import (DEFAULT_CONDITIONS, FULL_SCALE_DT, FULL_SCALE_DURATION,
@@ -98,13 +97,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return cls(**d)
+        try:
+            return cls(**d)
+        except TypeError as exc:
+            raise ConfigurationError(f"invalid config: {exc}") from exc
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         try:
             return cls.from_dict(json.loads(Path(path).read_text()))
-        except (OSError, json.JSONDecodeError, TypeError) as exc:
+        except (OSError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"cannot load config {path}: {exc}") from exc
 
 
@@ -192,10 +194,6 @@ def save_traces(net: Network, ds: WindowedDataset, path, count: int = 5) -> None
                 f.write(f"{p},{k},{float((p + k) * ds.dt)!r},{float(truth[k])!r},{float(pred[k])!r}\n")
 
 
-def _write_summaries(rows: list[str], path) -> None:
-    Path(path).write_text(SUMMARY_HEADER + "\n" + "".join(r + "\n" for r in rows))
-
-
 def run_example1(config: ExperimentConfig, out: Path,
                  campaign: list[CampaignRun] | None = None) -> dict:
     """Wave-assisted prediction: sweeps over n, w, and m."""
@@ -209,11 +207,11 @@ def run_example1(config: ExperimentConfig, out: Path,
         for (n, m, w) in cells:
             cell = train_cell(campaign, config, n, m, w, use_wave=True, norm=norm)
             name = f"{tag}_n{n}_m{m}_w{w}"
-            rows.append(summary_row(cell.test_report, name))
+            rows.append((name, cell.test_report))
             save_history(cell.history, out / f"{name}_history.csv")
             save_checkpoint(cell.net, out / f"{name}_checkpoint.json")
             results[name] = cell
-        _write_summaries(rows, out / f"{tag}_{config.channel}_summary.csv")
+        save_summaries(rows, out / f"{tag}_{config.channel}_summary.csv")
 
     run_cells([(n, config.m, config.w) for n in config.n_sweep], "time_window")
     run_cells([(config.n, config.m, w) for w in config.w_sweep], "wave_lag")
@@ -257,10 +255,10 @@ def run_example2(config: ExperimentConfig, out: Path,
                                  test_noise_level=level)
         report = evaluate(cell.net, test)
         name = f"test_noise_{level}"
-        rows.append(summary_row(report, name))
+        rows.append((name, report))
         save_traces(cell.net, test, out / f"{name}_traces.csv")
         results[name] = report
-    _write_summaries(rows, out / f"noise_{config.channel}_summary.csv")
+    save_summaries(rows, out / f"noise_{config.channel}_summary.csv")
     return results
 
 
@@ -280,10 +278,10 @@ def run_example3(config: ExperimentConfig, out: Path,
                               lstm_hidden=[hidden] * depth,
                               fc_count=3, fc_width=30, norm=norm)
             name = f"lstm_layers{depth}_hidden{hidden}"
-            lstm_rows.append(summary_row(cell.test_report, name + "_test"))
-            lstm_rows.append(summary_row(cell.train_report, name + "_train"))
+            lstm_rows += [(name + "_test", cell.test_report),
+                          (name + "_train", cell.train_report)]
             results[name] = cell
-    _write_summaries(lstm_rows, out / f"lstm_sweep_{config.channel}_summary.csv")
+    save_summaries(lstm_rows, out / f"lstm_sweep_{config.channel}_summary.csv")
 
     fc_rows = []
     for fc_count in config.fc_count_sweep:
@@ -292,10 +290,10 @@ def run_example3(config: ExperimentConfig, out: Path,
                               lstm_hidden=[30], fc_count=fc_count,
                               fc_width=fc_width, norm=norm)
             name = f"fc_layers{fc_count}_width{fc_width}"
-            fc_rows.append(summary_row(cell.test_report, name + "_test"))
-            fc_rows.append(summary_row(cell.train_report, name + "_train"))
+            fc_rows += [(name + "_test", cell.test_report),
+                        (name + "_train", cell.train_report)]
             results[name] = cell
-    _write_summaries(fc_rows, out / f"fc_sweep_{config.channel}_summary.csv")
+    save_summaries(fc_rows, out / f"fc_sweep_{config.channel}_summary.csv")
     return results
 
 

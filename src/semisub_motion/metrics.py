@@ -44,9 +44,10 @@ class BoxplotSummary:
 
 @dataclass
 class AccuracyResult:
-    """Per-window accuracies with their boxplot summary."""
+    """Per-window accuracies, the anchors they score, and their summary."""
 
     per_window: np.ndarray
+    anchors: np.ndarray
     summary: BoxplotSummary
     excluded_fraction: float = 0.0
 
@@ -64,8 +65,21 @@ class EvaluationReport:
     noise_level: float
 
 
-def _deviation_area(v: np.ndarray, dt: float) -> float:
-    return float(np.trapezoid(np.abs(v - v.mean()), dx=dt))
+def _deviation_area(v: np.ndarray, dt: float) -> np.ndarray:
+    return np.trapezoid(np.abs(v - v.mean(axis=-1, keepdims=True)), dx=dt, axis=-1)
+
+
+def _scores(pred: np.ndarray, truth: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Area-ratio Acc of each window along the last axis, and the non-flat mask.
+
+    Flat truth windows get a meaningless score and ``kept`` False; this is
+    the one place that decides which windows are degenerate.
+    """
+    truth_area = _deviation_area(truth, dt)
+    scale = np.maximum(1.0, np.abs(truth).max(axis=-1))
+    kept = ~(truth_area <= _FLAT_RTOL * scale * dt * truth.shape[-1])
+    ratio = _deviation_area(pred, dt) / np.where(kept, truth_area, 1.0)
+    return 1.0 - np.abs(1.0 - ratio), kept
 
 
 def accuracy(pred: np.ndarray, truth: np.ndarray, dt: float = 1.0) -> float:
@@ -75,10 +89,10 @@ def accuracy(pred: np.ndarray, truth: np.ndarray, dt: float = 1.0) -> float:
         raise DomainError("pred and truth must be equal-length vectors, length >= 2")
     if dt <= 0:
         raise DomainError("dt must be positive")
-    truth_area = _deviation_area(truth, dt)
-    if truth_area <= _FLAT_RTOL * max(1.0, float(np.abs(truth).max())) * dt * truth.size:
+    acc, kept = _scores(pred, truth, dt)
+    if not kept:
         raise DomainError("degenerate flat truth window: accuracy undefined")
-    return 1.0 - abs(1.0 - _deviation_area(pred, dt) / truth_area)
+    return float(acc)
 
 
 def boxplot_stats(values) -> BoxplotSummary:
@@ -101,37 +115,27 @@ def evaluate(net: Network, ds: WindowedDataset, chunk: int = 4096) -> Evaluation
     if net.output_size != ds.m:
         raise DomainError(f"network output size {net.output_size} != dataset m {ds.m}")
     A, B = ds.norm.A[ds.channel], ds.norm.B[ds.channel]
-    accs = []
-    excluded = 0
+    pred = np.empty((len(ds), ds.m))
     for start in range(0, len(ds), chunk):
-        pred = forward(net, ds.X[start:start + chunk]) * B + A
-        truth = ds.Y[start:start + chunk] * B + A
-        for k in range(pred.shape[0]):
-            try:
-                accs.append(accuracy(pred[k], truth[k], ds.dt))
-            except DomainError:
-                excluded += 1
-    if not accs:
+        pred[start:start + chunk] = forward(net, ds.X[start:start + chunk])
+    acc, kept = _scores(pred * B + A, ds.Y * B + A, ds.dt)
+    if not kept.any():
         raise DomainError("every window was degenerate; nothing to summarize")
-    per_window = np.array(accs)
+    per_window = acc[kept]
     return EvaluationReport(
-        accuracy=AccuracyResult(per_window=per_window,
+        accuracy=AccuracyResult(per_window=per_window, anchors=ds.anchors[kept],
                                 summary=boxplot_stats(per_window),
-                                excluded_fraction=excluded / len(ds)),
+                                excluded_fraction=int((~kept).sum()) / len(ds)),
         dataset_role=ds.role, channel=ds.channel, n=ds.n, m=ds.m, w=ds.w,
         noise_level=ds.noise_level)
 
 
-def save_window_accuracies(result: AccuracyResult, ds: WindowedDataset, path) -> None:
+def save_window_accuracies(result: AccuracyResult, path) -> None:
     """Per-window CSV: `window_p,acc` (degenerate windows omitted)."""
     with Path(path).open("w") as f:
         f.write("window_p,acc\n")
-        kept = 0
-        for i in range(len(ds)):
-            if kept >= result.per_window.size:
-                break
-            f.write(f"{int(ds.anchors[i])},{float(result.per_window[kept])!r}\n")
-            kept += 1
+        for anchor, acc in zip(result.anchors, result.per_window):
+            f.write(f"{int(anchor)},{float(acc)!r}\n")
 
 
 def summary_row(report: EvaluationReport, dataset_name: str) -> str:

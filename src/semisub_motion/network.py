@@ -118,15 +118,6 @@ class Network:
             out.extend(layer.parameters())
         return out
 
-    def copy(self) -> "Network":
-        return Network(
-            lstm_layers=[LstmLayerParams(l.W_input.copy(), l.W_hidden.copy(),
-                                         l.b_input.copy(), l.b_hidden.copy())
-                         for l in self.lstm_layers],
-            fc_layers=[FcLayerParams(l.weights.copy(), l.bias.copy(), l.activation)
-                       for l in self.fc_layers],
-            meta=dict(self.meta))
-
     def set_parameters(self, arrays: list[np.ndarray]) -> None:
         own = self.parameters()
         if len(own) != len(arrays):

@@ -17,7 +17,6 @@ the series from repeating within a 3 h record).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 from scipy.signal import welch
@@ -85,12 +84,6 @@ class SpectrumEstimate:
 
     def integral(self) -> float:
         return float(np.trapezoid(self.densities, self.frequencies))
-
-    def save_csv(self, path) -> None:
-        with Path(path).open("w") as f:
-            f.write("omega_rad_s,density_m2s\n")
-            for w, s in zip(self.frequencies, self.densities):
-                f.write(f"{float(w)!r},{float(s)!r}\n")
 
 
 def _density_shape(omega: np.ndarray, params: SpectrumParams) -> np.ndarray:

@@ -121,6 +121,12 @@ class TestErrors:
         config.write_text(json.dumps({"no_such_field": 1}))
         assert main(["simulate", "--config", str(config)]) == 1
 
+    def test_unknown_override_field(self, capsys):
+        assert main(["simulate", "--set", "no_such=1"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "no_such" in err[0]
+
     def test_missing_checkpoint(self, capsys, tmp_path):
         code = main(["evaluate", "--checkpoint", str(tmp_path / "none.json"),
                      "--dataset", str(tmp_path / "none.csv"),

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from semisub_motion.dataset import NormalizationConstants, WindowedDataset
 from semisub_motion.errors import DomainError
 from semisub_motion.metrics import (accuracy, boxplot_stats, evaluate,
-                                    save_summaries, summary_row)
+                                    save_summaries, save_window_accuracies,
+                                    summary_row)
 from semisub_motion.network import init_network
 
 
@@ -89,10 +90,12 @@ class TestBoxplotStats:
             boxplot_stats([])
 
 
-def make_dataset(X, Y, m, channel="heave", A=0.0, B=1.0, dt=1.0):
+def make_dataset(X, Y, m, channel="heave", A=0.0, B=1.0, dt=1.0, anchors=None):
     norm = NormalizationConstants(A={channel: A, "wave": 0.0},
                                   B={channel: B, "wave": 1.0})
-    return WindowedDataset(X=X, Y=Y, anchors=np.arange(len(X)) + X.shape[1],
+    if anchors is None:
+        anchors = np.arange(len(X)) + X.shape[1]
+    return WindowedDataset(X=X, Y=Y, anchors=anchors,
                            run_ids=["t"] * len(X), n=X.shape[1], m=m, w=0,
                            channel=channel, norm=norm, role="test", dt=dt)
 
@@ -153,6 +156,28 @@ class TestEvaluate:
         assert np.allclose(r1.accuracy.per_window, r2.accuracy.per_window,
                            atol=1e-10)
 
+    def test_batched_scores_match_accuracy_row_for_row(self, monkeypatch):
+        # evaluate scores all windows at once; each kept score must equal the
+        # one-window accuracy() exactly, and flat windows must be left out
+        rng = np.random.default_rng(5)
+        m = 7
+        Y = rng.normal(size=(9, m)) * 3.0 + 1.5
+        pred = Y + rng.normal(scale=0.5, size=Y.shape)
+        Y[3] = -2.0        # flat truth window
+        Y[6, 2] = np.nan   # NaN truth: not flat, scores NaN as accuracy() does
+        ds = make_dataset(rng.normal(size=(9, 5, 1)), Y, m, dt=0.775,
+                          anchors=np.arange(9) * 3 + 40)
+        net = init_network(1, [3], 1, 3, m, seed=0)
+        import semisub_motion.metrics as metrics_mod
+        monkeypatch.setattr(metrics_mod, "forward", lambda _net, x: pred[:len(x)])
+        report = evaluate(net, ds)
+        kept = [k for k in range(9) if k != 3]
+        expected = np.array([accuracy(pred[k], Y[k], 0.775) for k in kept])
+        assert np.array_equal(report.accuracy.per_window, expected, equal_nan=True)
+        assert np.isnan(report.accuracy.per_window[kept.index(6)])
+        assert list(report.accuracy.anchors) == [int(ds.anchors[k]) for k in kept]
+        assert report.accuracy.excluded_fraction == pytest.approx(1 / 9)
+
     def test_output_size_mismatch_rejected(self):
         net = init_network(1, [3], 1, 3, 4, seed=0)
         X = np.zeros((3, 5, 1))
@@ -173,3 +198,27 @@ def test_summary_csv_round_trip(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("dataset,channel")
     assert lines[1] == summary_row(report, "cell")
+
+
+def test_window_accuracy_csv_keeps_each_anchor_with_its_score(tmp_path, monkeypatch):
+    # windows 10, 11 (flat), 12, 13 with accuracies 0.25, -, 0.75, 1.0
+    rng = np.random.default_rng(6)
+    m = 5
+    Y = rng.normal(size=(4, m))
+    Y[1] = 2.0
+    scale = np.array([0.25, 1.0, 0.75, 1.0])[:, None]
+    pred = scale * (Y - Y.mean(axis=1, keepdims=True)) + Y.mean(axis=1, keepdims=True)
+    ds = make_dataset(rng.normal(size=(4, 6, 1)), Y, m, anchors=np.arange(10, 14))
+    net = init_network(1, [3], 1, 3, m, seed=0)
+    import semisub_motion.metrics as metrics_mod
+    monkeypatch.setattr(metrics_mod, "forward", lambda _net, x: pred[:len(x)])
+    report = evaluate(net, ds)
+    path = tmp_path / "window_accuracy.csv"
+    save_window_accuracies(report.accuracy, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "window_p,acc"
+    rows = {int(a): float(acc) for a, acc in (line.split(",") for line in lines[1:])}
+    assert sorted(rows) == [10, 12, 13]
+    assert rows[10] == pytest.approx(0.25, abs=1e-12)
+    assert rows[12] == pytest.approx(0.75, abs=1e-12)
+    assert rows[13] == pytest.approx(1.0, abs=1e-12)
