@@ -106,23 +106,35 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     net = load_checkpoint(args.checkpoint)
     meta = net.meta
-    if not meta:
-        raise SemisubError("checkpoint carries no window metadata; cannot window inputs")
+    missing = {"n", "m", "w", "r", "dt", "norm", "channel"} - meta.keys()
+    if missing:
+        raise SemisubError(f"checkpoint metadata lacks {', '.join(sorted(missing))}; "
+                           f"cannot window inputs")
     n, m, w, r = meta["n"], meta["m"], meta["w"], meta["r"]
     norm = NormalizationConstants.from_dict(meta["norm"])
     channel = meta["channel"]
-    motion = TimeSeries.load_csv(args.motion)
+
+    def load(path):
+        series = TimeSeries.load_csv(path)
+        if not np.isclose(series.dt, meta["dt"], rtol=1e-9, atol=0.0):
+            raise SemisubError(f"{path}: sample interval {series.dt!r} s differs from "
+                               f"the checkpoint's {meta['dt']!r} s")
+        return series
+
+    motion = load(args.motion)
     motion_reg = regularize(motion, norm.A[channel], norm.B[channel])
     wave_reg = None
     if r == 2:
         if not args.wave:
             raise SemisubError("this checkpoint expects a wave input (--wave)")
-        wave = TimeSeries.load_csv(args.wave)
-        wave_reg = regularize(wave, norm.A["wave"], norm.B["wave"])
+        wave_reg = regularize(load(args.wave), norm.A["wave"], norm.B["wave"])
     L = len(motion)
     anchor = args.anchor if args.anchor is not None else L - max(m, w)
     if not n <= anchor <= L - max(m, w):
         raise SemisubError(f"anchor {anchor} outside valid range [{n}, {L - max(m, w)}]")
+    if wave_reg is not None and len(wave_reg) < anchor + w:
+        raise SemisubError(f"{args.wave}: {len(wave_reg)} samples end before anchor "
+                           f"{anchor} + wave lag {w}")
     X = [motion_reg.values[anchor - n:anchor]]
     if wave_reg is not None:
         X.append(wave_reg.values[anchor - n + w:anchor + w])

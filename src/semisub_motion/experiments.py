@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,36 @@ from .vessel import (DEFAULT_CONDITIONS, FULL_SCALE_DT, FULL_SCALE_DURATION,
 EXAMPLE2_TRAINING_IDS = ("WC1", "WC3", "WC4")
 EXAMPLE2_TRAIN_NOISE = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
 EXAMPLE2_TEST_NOISE = (0.0, 0.2, 0.4, 0.6, 0.8)
+_TRAINING_IDS = tuple(c.id for c in DEFAULT_CONDITIONS
+                      if c.dataset_role == "training")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# ExperimentConfig field annotation -> accepted values
+_TYPE_CHECKS = {
+    "int": _is_int,
+    "float": _is_number,  # JSON and --set parse 400 as an int
+    "str": lambda v: isinstance(v, str),
+    "list[int]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "list[float]": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    "list[str] | None": lambda v: v is None or (
+        isinstance(v, list) and all(isinstance(x, str) for x in v)),
+}
+# smallest allowed value of the integer fields and of every sweep entry
+_MINIMUM = {"n": 1, "m": 1, "w": 0, "fc_count": 0, "fc_width": 1,
+            "batch_size": 1, "max_epochs": 0, "anchor_stride": 1,
+            "campaign_seed": 0, "init_seed": 0, "shuffle_seed": 0,
+            "noise_seed": 0,
+            "lstm_hidden": 1, "n_sweep": 1, "w_sweep": 0, "m_sweep": 1,
+            "hidden_sweep": 1, "lstm_layer_sweep": 1, "fc_count_sweep": 1,
+            "fc_width_sweep": 1}
 
 
 @dataclass
@@ -78,6 +108,29 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _TYPE_CHECKS[f.type](value):
+                raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
+            low = _MINIMUM.get(f.name)
+            if low is None:
+                continue
+            if isinstance(value, list):
+                if not value or min(value) < low:
+                    raise ConfigurationError(
+                        f"{f.name} must be a non-empty list of integers >= {low}, "
+                        f"got {value!r}")
+            elif value < low:
+                raise ConfigurationError(f"{f.name} must be >= {low}, got {value!r}")
+        if not (0 < self.dt < np.inf and 0 < self.duration < np.inf):
+            raise ConfigurationError(f"dt and duration must be positive and finite, "
+                                     f"got {self.dt} and {self.duration}")
+        ids = self.training_condition_ids
+        if ids is not None and (not ids or not set(ids) <= set(_TRAINING_IDS)):
+            raise ConfigurationError(
+                f"training_condition_ids must name training conditions among "
+                f"{', '.join(_TRAINING_IDS)}, got {ids!r}")
+        self.training_config()  # learning-rate schedule ranges
         if self.example_id not in (1, 2, 3):
             raise ConfigurationError(f"example_id must be 1, 2 or 3, got {self.example_id}")
         if self.channel not in ("heave", "surge"):

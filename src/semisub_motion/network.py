@@ -14,8 +14,23 @@ gate).  Gate weights are stored stacked in blocks of H in the order
 (i, f, g, o).  The last hidden state of the last LSTM layer feeds a stack of
 tanh fully-connected layers and an affine output layer.
 
+The sigmoid is evaluated as 0.5 * (1 + tanh(x / 2)), which needs no masks
+and cannot overflow, so all four stacked gates of a step are activated by
+one tanh call with a per-column scale s (1/2 for i, f, o; 1 for g):
+gate = s * tanh(s * a) + (1 - s).
+
+The kernel works time-major.  The input projection of every step is one
+GEMM into an (n, B, 4H) buffer that the time loop activates in place, so
+the buffer becomes the gate cache.  The BPTT cache also keeps the cell
+states as (n + 1, B, H) with c_0 in row 0 and tanh(c_t) as (n, B, H).
+Public arrays stay batch-major (B, n, .): the hidden sequence returned by
+``lstm_forward`` and cached as ``hs`` is a transposed view of the
+time-major one.
+
 Gradients are computed by exact backpropagation through time; no autodiff
-framework is involved.
+framework is involved.  The reverse loop does only the elementwise work
+and the recurrent ``da @ W_hidden`` product; the weight, bias and input
+gradients are single GEMMs or reductions over all steps after it.
 """
 
 from __future__ import annotations
@@ -32,13 +47,17 @@ CHECKPOINT_VERSION = 1
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # numerically stable two-sided form
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # tanh form: stable for any x, no masks
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def _gate_affine(H: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column scale s and shift 1 - s over the stacked (i, f, g, o)
+    gates: s * tanh(s * a) + (1 - s) is the sigmoid where s = 1/2 and tanh
+    where s = 1."""
+    scale = np.full(4 * H, 0.5)
+    scale[2 * H:3 * H] = 1.0
+    return scale, 1.0 - scale
 
 
 @dataclass
@@ -185,75 +204,72 @@ def lstm_forward(layer: LstmLayerParams, inputs: np.ndarray,
         c = np.zeros((B, H))
     else:
         h, c = (np.broadcast_to(s, (B, H)).copy() for s in initial_state)
-    bias = layer.b_input + layer.b_hidden
-    x_proj = inputs @ layer.W_input.T + bias  # (B, n, 4H)
-    hs = np.empty((B, n, H))
     keep = cache is not None
+    # time-major pre-activations; the loop turns each step into its gates
+    gates = inputs.transpose(1, 0, 2) @ layer.W_input.T  # (n, B, 4H)
+    gates += layer.b_input + layer.b_hidden
+    scale, shift = _gate_affine(H)
+    W_hidden_T = layer.W_hidden.T
+    hs = np.empty((n, B, H))
     if keep:
-        gates_c = np.empty((B, n, 4 * H))
-        c_seq = np.empty((B, n, H))
-        tanh_c = np.empty((B, n, H))
-        c_prev_seq = np.empty((B, n, H))
+        c_seq = np.empty((n + 1, B, H))
+        c_seq[0] = c
+        tanh_c = np.empty((n, B, H))
     for t in range(n):
-        a = x_proj[:, t] + h @ layer.W_hidden.T
-        i = sigmoid(a[:, :H])
-        f = sigmoid(a[:, H:2 * H])
-        g = np.tanh(a[:, 2 * H:3 * H])
-        o = sigmoid(a[:, 3 * H:])
-        if keep:
-            c_prev_seq[:, t] = c
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        hs[:, t] = h
-        if keep:
-            gates_c[:, t, :H] = i
-            gates_c[:, t, H:2 * H] = f
-            gates_c[:, t, 2 * H:3 * H] = g
-            gates_c[:, t, 3 * H:] = o
-            c_seq[:, t] = c
-            tanh_c[:, t] = tc
+        a = gates[t]
+        a += h @ W_hidden_T
+        a *= scale
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
+        c = np.multiply(a[:, H:2 * H], c, out=c_seq[t + 1] if keep else None)
+        c += a[:, :H] * a[:, 2 * H:3 * H]
+        tc = np.tanh(c, out=tanh_c[t] if keep else None)
+        h = np.multiply(a[:, 3 * H:], tc, out=hs[t])
+    hs = hs.transpose(1, 0, 2)
     if keep:
-        cache.update(inputs=inputs, hs=hs, gates=gates_c, c=c_seq,
-                     tanh_c=tanh_c, c_prev=c_prev_seq)
+        cache.update(inputs=inputs, hs=hs, gates=gates, c=c_seq, tanh_c=tanh_c)
     return hs, (h, c)
 
 
 def _lstm_backward(layer: LstmLayerParams, cache: dict,
                    dh_seq: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """BPTT through one layer given per-step hidden-state gradients.
+    """BPTT through one layer given time-major per-step hidden-state
+    gradients ``dh_seq`` (n, B, H).
 
-    Returns ([dW_input, dW_hidden, db_input, db_hidden], dx sequence).
+    Returns ([dW_input, dW_hidden, db_input, db_hidden], time-major dx
+    (n, B, input_size)).
     """
-    inputs, hs = cache["inputs"], cache["hs"]
-    gates, tanh_c, c_prev = cache["gates"], cache["tanh_c"], cache["c_prev"]
-    B, n, H = hs.shape
-    dW_x = np.zeros_like(layer.W_input)
-    dW_h = np.zeros_like(layer.W_hidden)
-    db = np.zeros_like(layer.b_input)
-    dx = np.empty_like(inputs)
+    x = cache["inputs"].transpose(1, 0, 2)
+    hs = cache["hs"].transpose(1, 0, 2)
+    gates, c_seq, tanh_c = cache["gates"], cache["c"], cache["tanh_c"]
+    n, B, H = hs.shape
+    scale, shift = _gate_affine(H)
+    scale_sq = scale**2
+    da = np.empty_like(gates)
     dh_rec = np.zeros((B, H))
     dc_rec = np.zeros((B, H))
-    da = np.empty((B, 4 * H))
     for t in range(n - 1, -1, -1):
-        dh = dh_seq[:, t] + dh_rec
-        i = gates[:, t, :H]
-        f = gates[:, t, H:2 * H]
-        g = gates[:, t, 2 * H:3 * H]
-        o = gates[:, t, 3 * H:]
-        tc = tanh_c[:, t]
+        a = gates[t]
+        i, f, g, o = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+        tc = tanh_c[t]
+        dh = dh_seq[t] + dh_rec
         dc = dh * o * (1.0 - tc**2) + dc_rec
-        da[:, :H] = dc * g * i * (1.0 - i)
-        da[:, H:2 * H] = dc * c_prev[:, t] * f * (1.0 - f)
-        da[:, 2 * H:3 * H] = dc * i * (1.0 - g**2)
-        da[:, 3 * H:] = dh * tc * o * (1.0 - o)
-        dW_x += da.T @ inputs[:, t]
-        h_prev = hs[:, t - 1] if t > 0 else np.zeros((B, H))
-        dW_h += da.T @ h_prev
-        db += da.sum(axis=0)
-        dx[:, t] = da @ layer.W_input
-        dh_rec = da @ layer.W_hidden
+        d = da[t]
+        np.multiply(dc, g, out=d[:, :H])
+        np.multiply(dc, c_seq[t], out=d[:, H:2 * H])
+        np.multiply(dc, i, out=d[:, 2 * H:3 * H])
+        np.multiply(dh, tc, out=d[:, 3 * H:])
+        # gate derivative s^2 - (gate - (1 - s))^2: i(1 - i) or 1 - g^2
+        d *= scale_sq - (a - shift)**2
+        dh_rec = d @ layer.W_hidden
         dc_rec = dc * f
+    rows = da.reshape(n * B, 4 * H)
+    dW_x = rows.T @ x.reshape(n * B, -1)
+    # forward() starts from h = 0, so step 0 adds nothing to dW_hidden
+    dW_h = da[1:].reshape(-1, 4 * H).T @ hs[:-1].reshape(-1, H)
+    db = rows.sum(axis=0)
+    dx = da @ layer.W_input
     # b_input and b_hidden enter every gate as a sum: identical gradients
     return [dW_x, dW_h, db, db.copy()], dx
 
@@ -324,8 +340,8 @@ def backward(net: Network, X: np.ndarray, Y: np.ndarray
     # gradient reaches the last LSTM layer only at the final time step
     n = X.shape[1]
     H_top = net.lstm_layers[-1].hidden_size
-    dh_seq = np.zeros((B, n, H_top))
-    dh_seq[:, -1] = d
+    dh_seq = np.zeros((n, B, H_top))
+    dh_seq[-1] = d
     lstm_grads: list[list[np.ndarray]] = []
     for k in range(len(net.lstm_layers) - 1, -1, -1):
         grads_k, dx = _lstm_backward(net.lstm_layers[k], lstm_caches[k], dh_seq)

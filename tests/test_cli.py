@@ -87,6 +87,57 @@ class TestPipeline:
                      "--output", str(tmp_path / "forecast.csv")])
         assert code == 1
 
+    def test_predict_rejects_short_wave(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        run_dir = root / "sim" / "campaign"
+        wave = TimeSeries.load_csv(run_dir / "WC2_wave.csv")
+        short = tmp_path / "short_wave.csv"
+        # anchor 200 with lag 6 needs 206 wave samples
+        wave.with_values(wave.values[:203]).save_csv(short)
+        code = main(["predict",
+                     "--checkpoint", str(root / "model" / "checkpoint.json"),
+                     "--motion", str(run_dir / "WC2_heave.csv"),
+                     "--wave", str(short), "--anchor", "200",
+                     "--output", str(tmp_path / "forecast.csv")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("resampled", ["motion", "wave"])
+    def test_predict_rejects_mismatched_sampling(self, workspace, tmp_path,
+                                                 capsys, resampled):
+        root, _ = workspace
+        run_dir = root / "sim" / "campaign"
+        paths = {"motion": run_dir / "WC2_heave.csv",
+                 "wave": run_dir / "WC2_wave.csv"}
+        series = TimeSeries.load_csv(paths[resampled])
+        paths[resampled] = tmp_path / f"{resampled}.csv"
+        TimeSeries(dt=0.5, values=series.values).save_csv(paths[resampled])
+        code = main(["predict",
+                     "--checkpoint", str(root / "model" / "checkpoint.json"),
+                     "--motion", str(paths["motion"]),
+                     "--wave", str(paths["wave"]), "--anchor", "200",
+                     "--output", str(tmp_path / "forecast.csv")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1 and "sample interval" in err[0]
+
+    def test_predict_rejects_checkpoint_without_window_metadata(
+            self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        doc = json.loads((root / "model" / "checkpoint.json").read_text())
+        del doc["meta"]["dt"], doc["meta"]["n"]
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(doc))
+        run_dir = root / "sim" / "campaign"
+        code = main(["predict", "--checkpoint", str(checkpoint),
+                     "--motion", str(run_dir / "WC2_heave.csv"),
+                     "--wave", str(run_dir / "WC2_wave.csv"),
+                     "--output", str(tmp_path / "forecast.csv")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1 and "lacks dt, n" in err[0]
+
     def test_evaluate(self, workspace, tmp_path, capsys):
         root, _ = workspace
         out = tmp_path / "eval"
@@ -126,6 +177,12 @@ class TestErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert "no_such" in err[0]
+
+    def test_wrongly_typed_override(self, capsys):
+        assert main(["build-dataset", "--set", 'n="abc"']) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "n must be int" in err[0]
 
     def test_missing_checkpoint(self, capsys, tmp_path):
         code = main(["evaluate", "--checkpoint", str(tmp_path / "none.json"),

@@ -58,6 +58,56 @@ class TestConfig:
         tc = config.training_config()
         assert (tc.initial_lr, tc.max_epochs, tc.seed) == (0.02, 9, 5)
 
+    @pytest.mark.parametrize("value", ["abc", True, 12.0, None])
+    def test_integer_field_must_be_int(self, value):
+        with pytest.raises(ConfigurationError, match="n must be int"):
+            tiny_config(n=value)
+
+    def test_float_field_accepts_int_rejects_text(self):
+        assert tiny_config(duration=700).duration == 700
+        with pytest.raises(ConfigurationError, match="dt must be float"):
+            tiny_config(dt="0.775")
+
+    @pytest.mark.parametrize("field", ["n", "m"])
+    def test_window_lengths_at_least_one(self, field):
+        with pytest.raises(ConfigurationError, match=f"{field} must be >= 1"):
+            tiny_config(**{field: 0})
+
+    def test_wave_lag_non_negative(self):
+        assert tiny_config(w=0).w == 0
+        with pytest.raises(ConfigurationError, match="w must be >= 0"):
+            tiny_config(w=-1)
+
+    @pytest.mark.parametrize("field", ["anchor_stride", "batch_size"])
+    def test_stride_and_batch_at_least_one(self, field):
+        with pytest.raises(ConfigurationError, match=f"{field} must be >= 1"):
+            tiny_config(**{field: 0})
+
+    def test_max_epochs_non_negative(self):
+        assert tiny_config(max_epochs=0).max_epochs == 0
+        with pytest.raises(ConfigurationError, match="max_epochs must be >= 0"):
+            tiny_config(max_epochs=-1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("dt", 0.0), ("duration", -1.0), ("dt", float("nan")),
+        ("duration", float("inf"))])
+    def test_sampling_positive_and_finite(self, field, value):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            tiny_config(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_sweep", []), ("m_sweep", [6, 0]), ("hidden_sweep", [8.0]),
+        ("lstm_layer_sweep", [True]), ("lstm_hidden", []),
+        ("fc_width_sweep", "8"), ("w_sweep", [-1])])
+    def test_sweeps_non_empty_positive_int_lists(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            tiny_config(**{field: value})
+
+    @pytest.mark.parametrize("ids", [["WCX"], ["WC2"], [], "WC1"])
+    def test_training_ids_name_training_conditions(self, ids):
+        with pytest.raises(ConfigurationError, match="training_condition_ids"):
+            tiny_config(training_condition_ids=ids)
+
     def test_bad_file_raises(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

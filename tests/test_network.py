@@ -116,6 +116,25 @@ class TestForward:
         out = forward(net, np.random.default_rng(0).normal(size=(60, 2)))
         assert out.shape == (20,)
 
+    def test_cached_hidden_sequences_are_batch_major(self):
+        net = init_network(2, [5, 3], 1, 4, 2, seed=6)
+        caches = []
+        forward(net, np.random.default_rng(7).normal(size=(4, 9, 2)),
+                caches=caches)
+        assert caches[0]["hs"].shape == (4, 9, 5)
+        assert caches[1]["hs"].shape == (4, 9, 3)
+
+    def test_two_layers_match_chained_scalar_oracle(self):
+        net = init_network(2, [3, 2], 1, 2, 2, seed=8)
+        X = np.random.default_rng(9).normal(size=(3, 5, 2))
+        caches = []
+        forward(net, X, caches=caches)
+        for b in range(X.shape[0]):
+            h1 = scalar_lstm_oracle(net.lstm_layers[0], X[b])
+            h2 = scalar_lstm_oracle(net.lstm_layers[1], h1)
+            assert np.allclose(caches[0]["hs"][b], h1, atol=1e-12)
+            assert np.allclose(caches[1]["hs"][b], h2, atol=1e-12)
+
     def test_batch_and_single_agree(self):
         net = init_network(2, [5], 1, 4, 3, seed=3)
         X = np.random.default_rng(4).normal(size=(6, 8, 2))
@@ -206,6 +225,19 @@ class TestBackward:
         with pytest.raises(DomainError):
             backward(net, np.zeros((0, 4, 1)), np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("r, hidden, B, n", [
+        (2, [4], 3, 1),     # one step: no recurrent weight gradient term
+        (2, [4], 1, 6),     # one window
+        (5, [3, 4], 2, 4),  # stacked, input width differs from both H
+    ])
+    def test_finite_differences_edge_shapes(self, r, hidden, B, n):
+        rng = np.random.default_rng(15)
+        net = init_network(r, hidden, 1, 3, 2, seed=22)
+        X = rng.normal(size=(B, n, r))
+        Y = rng.normal(size=(B, 2))
+        _, grads = backward(net, X, Y)
+        assert max_norm_rel_error(grads, fd_gradients(net, X, Y)) < 1e-5
+
 
 class TestCountParams:
     def test_reference_architecture(self):
@@ -272,6 +304,18 @@ class TestCheckpoint:
 def test_sigmoid_matches_naive():
     x = np.linspace(-30, 30, 101)
     assert np.allclose(sigmoid(x), 1.0 / (1.0 + np.exp(-x)), atol=1e-15)
+
+
+def test_sigmoid_extreme_inputs():
+    x = np.concatenate([[-1e4, -1e3, 1e3, 1e4], np.linspace(-30, 30, 101)])
+    with np.errstate(all="raise"):
+        y = sigmoid(x)
+    assert np.all(np.isfinite(y)) and np.all((y >= 0.0) & (y <= 1.0))
+    assert list(y[:4]) == [0.0, 0.0, 1.0, 1.0]
+    with np.errstate(over="ignore"):
+        naive = 1.0 / (1.0 + np.exp(-x))
+    finite = np.isfinite(naive)
+    assert np.allclose(y[finite], naive[finite], atol=1e-15)
 
 
 def test_final_layer_must_be_affine():
