@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import (NormalizationConstants, load_dataset, regularize,
-                      save_dataset, split_campaign)
+from .dataset import (NormalizationConstants, input_windows, load_dataset,
+                      regularize, save_dataset, split_campaign)
 from .errors import SemisubError
 from .experiments import (ExperimentConfig, aggregate_reports, get_campaign,
                           run_experiment, save_history, select_runs, train_cell)
@@ -127,7 +127,7 @@ def cmd_predict(args) -> int:
     if r == 2:
         if not args.wave:
             raise SemisubError("this checkpoint expects a wave input (--wave)")
-        wave_reg = regularize(load(args.wave), norm.A["wave"], norm.B["wave"])
+        wave_reg = regularize(load(args.wave), norm.A["wave"], norm.B["wave"]).values
     L = len(motion)
     anchor = args.anchor if args.anchor is not None else L - max(m, w)
     if not n <= anchor <= L - max(m, w):
@@ -135,11 +135,8 @@ def cmd_predict(args) -> int:
     if wave_reg is not None and len(wave_reg) < anchor + w:
         raise SemisubError(f"{args.wave}: {len(wave_reg)} samples end before anchor "
                            f"{anchor} + wave lag {w}")
-    X = [motion_reg.values[anchor - n:anchor]]
-    if wave_reg is not None:
-        X.append(wave_reg.values[anchor - n + w:anchor + w])
-    pred = forward(net, np.stack(X, axis=1))
-    pred = pred * norm.B[channel] + norm.A[channel]
+    X = input_windows(motion_reg.values, wave_reg, np.array([anchor]), n, w)
+    pred = forward(net, X[0]) * norm.B[channel] + norm.A[channel]
     out = Path(args.output)
     with out.open("w") as f:
         f.write("time_s,value\n")

@@ -8,10 +8,11 @@ wave lag w) with a target Y of the next m motion samples:
     wave rows:    t_{p+w-n} .. t_{p+w-1}
     target:       t_p .. t_{p+m-1}
 
+``input_windows`` owns this input layout, for datasets and forecasts alike.
 Channels are standardized by campaign-wide constants A (mean of per-run
-means) and B (mean of per-run standard deviations).  Noise-extended
-datasets add seeded Gaussian noise with standard deviation I * sigma of
-the clean series to the inputs only; targets always stay clean.
+means) and B (mean of per-run standard deviations).  ``role_dataset`` builds
+each role's set.  Noise-extended sets add seeded Gaussian noise (std I * sigma
+of the clean series) to the inputs only; targets are windowed once, clean.
 """
 
 from __future__ import annotations
@@ -90,8 +91,12 @@ def deregularize(series: TimeSeries, A: float, B: float) -> TimeSeries:
 
 
 def noise_seed(run_id: str, channel: str, level: float, base_seed: int = 0) -> int:
-    """Stable seed derived from (run id, channel, noise level)."""
-    key = f"{base_seed}:{run_id}:{channel}:{level!r}"
+    """Stable seed derived from (run id, channel, noise level).
+
+    The level is keyed rounded to 12 decimals, so ``1`` and ``1.0`` (or
+    ``0.1 + 0.2`` and ``0.3``) share a seed.
+    """
+    key = f"{base_seed}:{run_id}:{channel}:{round(float(level), 12)!r}"
     return zlib.crc32(key.encode())
 
 
@@ -142,40 +147,45 @@ def pair_count(L: int, n: int, m: int, w: int) -> int:
     return max(0, L - n - max(m, w) + 1)
 
 
+def input_windows(motion: np.ndarray, wave: np.ndarray | None,
+                  anchors: np.ndarray, n: int, w: int) -> np.ndarray:
+    """Input blocks (N, n, r) at ``anchors``: motion rows p-n..p-1 and, when
+    ``wave`` is given, wave rows p+w-n..p+w-1 as feature column 1."""
+    blocks = [sliding_window_view(motion, n)[anchors - n]]
+    if wave is not None:
+        blocks.append(sliding_window_view(wave, n)[anchors - n + w])
+    return np.stack(blocks, axis=2)
+
+
 def build_pairs(motion: TimeSeries, wave: TimeSeries | None, n: int, m: int,
                 w: int, norm: NormalizationConstants | None = None,
                 channel: str = "heave", run_id: str = "run",
                 role: str = "training", noise_level: float = 0.0,
-                stride: int = 1) -> WindowedDataset:
+                stride: int = 1, target: TimeSeries | None = None
+                ) -> WindowedDataset:
     """Window one (already regularized) run into input-output pairs.
 
-    ``stride`` subsamples the anchors for desk-scale training; stride 1
-    keeps every valid window.
+    Y is cut from ``target`` (default: ``motion``).  ``stride`` subsamples
+    the anchors for desk-scale training; stride 1 keeps every valid window.
     """
     if n < 1 or m < 1 or w < 0:
         raise DomainError(f"need n, m >= 1 and w >= 0, got n={n} m={m} w={w}")
     if stride < 1:
         raise DomainError("stride must be >= 1")
+    target = motion if target is None else target
     L = len(motion)
-    if wave is not None and len(wave) != L:
-        raise DomainError("motion and wave must have equal length")
-    count = pair_count(L, n, m, w)
-    if count <= 0:
+    if (wave is not None and len(wave) != L) or len(target) != L:
+        raise DomainError("motion, wave and target must have equal length")
+    if pair_count(L, n, m, w) <= 0:
         raise DomainError(
             f"series of length {L} too short for n={n}, m={m}, w={w}")
     anchors = np.arange(n, L - max(m, w) + 1, stride)
-
-    motion_windows = sliding_window_view(motion.values, n)  # row p0 covers p0..p0+n-1
-    target_windows = sliding_window_view(motion.values, m)
-    blocks = [motion_windows[anchors - n]]
-    if wave is not None:
-        wave_windows = sliding_window_view(wave.values, n)
-        blocks.append(wave_windows[anchors - n + w])
-    X = np.stack(blocks, axis=2)
-    Y = target_windows[anchors].copy()
+    X = input_windows(motion.values, None if wave is None else wave.values,
+                      anchors, n, w)
+    Y = sliding_window_view(target.values, m)[anchors]
     norm = norm or NormalizationConstants(A={channel: 0.0, "wave": 0.0},
                                           B={channel: 1.0, "wave": 1.0})
-    return WindowedDataset(X=X.copy(), Y=Y, anchors=anchors,
+    return WindowedDataset(X=X, Y=Y, anchors=anchors,
                            run_ids=[run_id] * len(anchors), n=n, m=m, w=w,
                            channel=channel, norm=norm, role=role,
                            noise_level=noise_level, dt=motion.dt)
@@ -203,23 +213,41 @@ def _windowed_run(run: CampaignRun, channel: str, use_wave: bool, n: int,
                   m: int, w: int, norm: NormalizationConstants,
                   noise_level: float, noise_base_seed: int, role: str,
                   stride: int) -> WindowedDataset:
-    motion_clean = run.channel(channel)
-    motion_in = add_noise(motion_clean, noise_level,
-                          noise_seed(run.condition.id, channel, noise_level,
-                                     noise_base_seed))
-    motion_in = regularize(motion_in, norm.A[channel], norm.B[channel])
-    wave_in = None
-    if use_wave:
-        wave_in = add_noise(run.wave, noise_level,
-                            noise_seed(run.condition.id, "wave", noise_level,
-                                       noise_base_seed))
-        wave_in = regularize(wave_in, norm.A["wave"], norm.B["wave"])
-    ds = build_pairs(motion_in, wave_in, n, m, w, norm=norm, channel=channel,
-                     run_id=run.condition.id, role=role,
-                     noise_level=noise_level, stride=stride)
-    # targets come from the clean series: re-window the clean motion
-    clean_reg = regularize(motion_clean, norm.A[channel], norm.B[channel])
-    ds.Y = sliding_window_view(clean_reg.values, m)[ds.anchors].copy()
+    def model_input(series: TimeSeries, ch: str) -> TimeSeries:
+        seed = noise_seed(run.condition.id, ch, noise_level, noise_base_seed)
+        return regularize(add_noise(series, noise_level, seed), norm.A[ch], norm.B[ch])
+
+    motion = run.channel(channel)
+    return build_pairs(
+        model_input(motion, channel), model_input(run.wave, "wave") if use_wave else None,
+        n, m, w, norm=norm, channel=channel, run_id=run.condition.id, role=role,
+        noise_level=noise_level, stride=stride,
+        target=regularize(motion, norm.A[channel], norm.B[channel]))
+
+
+def role_dataset(campaign: list[CampaignRun], role: str, channel: str, n: int,
+                 m: int, w: int, noise_levels: list[float],
+                 norm: NormalizationConstants, use_wave: bool = True,
+                 noise_base_seed: int = 0, stride: int = 1) -> WindowedDataset:
+    """Pool the campaign's ``role`` runs, in id order, crossed with noise levels.
+
+    Inputs are noisy at each level; targets are always the clean series.
+    The set's ``noise_level`` is the largest level.
+    """
+    if channel not in ("heave", "surge"):
+        raise DomainError(f"channel must be heave or surge, got {channel!r}")
+    if not noise_levels:
+        raise ConfigurationError("noise_levels must be non-empty")
+    runs = sorted((r for r in campaign if r.condition.dataset_role == role),
+                  key=lambda r: r.condition.id)
+    if not runs:
+        raise ConfigurationError(f"campaign has no {role}-role run")
+    ds = concat_datasets([
+        _windowed_run(run, channel, use_wave, n, m, w, norm, level,
+                      noise_base_seed, role, stride)
+        for run in runs for level in noise_levels
+    ])
+    ds.noise_level = max(noise_levels)
     return ds
 
 
@@ -236,37 +264,19 @@ def split_campaign(campaign: list[CampaignRun], channel: str, n: int, m: int,
     the clean series.  The test set comes from the test-role run(s) at
     ``test_noise_level``.
     """
-    if channel not in ("heave", "surge"):
-        raise DomainError(f"channel must be heave or surge, got {channel!r}")
-    noise_levels = [0.0] if noise_levels is None else list(noise_levels)
-    if not noise_levels:
-        raise ConfigurationError("noise_levels must be non-empty")
-    training_runs = [r for r in campaign if r.condition.dataset_role == "training"]
-    test_runs = [r for r in campaign if r.condition.dataset_role == "test"]
-    if not test_runs:
-        raise ConfigurationError("campaign has no test-role run")
-    if not training_runs:
-        raise ConfigurationError("campaign has no training-role runs")
     norm = norm or compute_norm_constants(campaign)
-
-    ordered = sorted(training_runs, key=lambda r: r.condition.id)
-    train_parts = [
-        _windowed_run(run, channel, use_wave, n, m, w, norm, level,
-                      noise_base_seed, "training", stride)
-        for run in ordered for level in noise_levels
-    ]
-    training = concat_datasets(train_parts)
-    training.noise_level = max(noise_levels)
-
-    test_parts = [
-        _windowed_run(run, channel, use_wave, n, m, w, norm, test_noise_level,
-                      noise_base_seed, "test", stride)
-        for run in sorted(test_runs, key=lambda r: r.condition.id)
-    ]
-    test = concat_datasets(test_parts)
-    test.role = "test"
-    test.noise_level = test_noise_level
+    training = role_dataset(
+        campaign, "training", channel, n, m, w,
+        [0.0] if noise_levels is None else list(noise_levels), norm,
+        use_wave, noise_base_seed, stride)
+    test = role_dataset(campaign, "test", channel, n, m, w, [test_noise_level],
+                        norm, use_wave, noise_base_seed, stride)
     return training, test
+
+
+DATASET_VERSION = 1
+_MANIFEST_KEYS = frozenset({"n", "m", "w", "r", "channel", "role", "noise_level",
+                            "dt", "norm", "samples", "run_ids"})
 
 
 def save_dataset(ds: WindowedDataset, path) -> None:
@@ -286,7 +296,7 @@ def save_dataset(ds: WindowedDataset, path) -> None:
             row += [repr(float(v)) for v in ds.Y[i]]
             f.write(",".join(row) + "\n")
     manifest = {
-        "format_version": 1, "n": ds.n, "m": ds.m, "w": ds.w, "r": ds.r,
+        "format_version": DATASET_VERSION, "n": ds.n, "m": ds.m, "w": ds.w, "r": ds.r,
         "channel": ds.channel, "role": ds.role, "noise_level": ds.noise_level,
         "dt": ds.dt, "norm": ds.norm.to_dict(), "samples": len(ds),
         "run_ids": ds.run_ids,
@@ -296,13 +306,32 @@ def save_dataset(ds: WindowedDataset, path) -> None:
 
 
 def load_dataset(path) -> WindowedDataset:
+    """Read a ``save_dataset`` CSV, checking it against its manifest."""
     path = Path(path)
-    manifest = json.loads(
-        path.with_suffix(path.suffix + ".manifest.json").read_text())
-    data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
+    manifest_path = path.with_suffix(path.suffix + ".manifest.json")
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"{manifest_path}: not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict) or manifest.get("format_version") != DATASET_VERSION:
+        raise DomainError(f"{manifest_path}: unsupported dataset format version")
+    missing = _MANIFEST_KEYS - manifest.keys()
+    if missing:
+        raise DomainError(f"{manifest_path}: lacks {', '.join(sorted(missing))}")
+    if not all(type(manifest[k]) is int for k in ("n", "m", "w", "r", "samples")):
+        raise DomainError(f"{manifest_path}: n, m, w, r and samples must be integers")
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
     n, m, r = manifest["n"], manifest["m"], manifest["r"]
     if data.shape[1] != 1 + n * r + m:
         raise DomainError(f"{path}: column count does not match manifest")
+    if data.shape[0] != manifest["samples"]:
+        raise DomainError(f"{path}: {data.shape[0]} rows, but the manifest "
+                          f"declares {manifest['samples']} samples")
+    if not np.all(np.isfinite(data)):
+        raise DomainError(f"{path}: non-finite value")
     anchors = data[:, 0].astype(int)
     X = data[:, 1:1 + n * r].reshape(-1, n, r)
     Y = data[:, 1 + n * r:]

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import (NormalizationConstants, WindowedDataset,
-                      compute_norm_constants, split_campaign)
+                      compute_norm_constants, role_dataset, split_campaign)
 from .errors import ConfigurationError
 from .metrics import SUMMARY_HEADER, EvaluationReport, evaluate, save_summaries
 from .network import Network, forward, init_network, save_checkpoint
@@ -273,12 +273,10 @@ def run_example1(config: ExperimentConfig, out: Path,
     # trace CSVs for the headline cell, when it is part of the sweeps
     headline = f"time_window_n{config.n}_m{config.m}_w{config.w}"
     if headline in results:
-        cell = results[headline]
-        test = split_campaign(select_runs(campaign, config.training_condition_ids),
-                              config.channel, config.n, config.m, config.w,
-                              norm=norm, noise_base_seed=config.noise_seed,
-                              stride=config.anchor_stride)[1]
-        save_traces(cell.net, test, out / f"{headline}_traces.csv")
+        test = role_dataset(campaign, "test", config.channel, config.n, config.m,
+                            config.w, [0.0], norm, noise_base_seed=config.noise_seed,
+                            stride=config.anchor_stride)
+        save_traces(results[headline].net, test, out / f"{headline}_traces.csv")
     return results
 
 
@@ -301,11 +299,9 @@ def run_example2(config: ExperimentConfig, out: Path,
     rows = []
     results = {"model": cell}
     for level in config.test_noise_levels:
-        _, test = split_campaign(runs, config.channel, n, m, w,
-                                 noise_levels=config.noise_levels,
-                                 norm=norm, noise_base_seed=config.noise_seed,
-                                 stride=config.anchor_stride,
-                                 test_noise_level=level)
+        test = role_dataset(runs, "test", config.channel, n, m, w, [level],
+                            norm, noise_base_seed=config.noise_seed,
+                            stride=config.anchor_stride)
         report = evaluate(cell.net, test)
         name = f"test_noise_{level}"
         rows.append((name, report))

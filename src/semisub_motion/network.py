@@ -396,6 +396,8 @@ def load_checkpoint(path) -> Network:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DomainError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("meta", {}), dict):
+        raise DomainError(f"malformed checkpoint {path}: document or meta not an object")
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise DomainError(f"unsupported checkpoint version {doc.get('format_version')}")
     try:
@@ -410,12 +412,12 @@ def load_checkpoint(path) -> Network:
             bias=np.array(l["bias"], dtype=np.float64),
             activation=l["activation"],
         ) for l in doc["fc_layers"]]
-    except (KeyError, ValueError) as exc:
-        raise DomainError(f"malformed checkpoint {path}: {exc}") from exc
+        declared = doc["param_count"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed checkpoint {path}: {exc!r}") from exc
     net = Network(lstm_layers=lstm_layers, fc_layers=fc_layers,
                   meta=doc.get("meta", {}))
-    if count_params(net) != doc["param_count"]:
+    if count_params(net) != declared:
         raise DomainError(
-            f"checkpoint declares {doc['param_count']} parameters, "
-            f"found {count_params(net)}")
+            f"checkpoint declares {declared} parameters, found {count_params(net)}")
     return net

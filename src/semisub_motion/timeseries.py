@@ -55,9 +55,14 @@ class TimeSeries:
 
     @classmethod
     def load_csv(cls, path, unit: str = "m") -> "TimeSeries":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64)
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64)
+        except ValueError as exc:
+            raise DomainError(f"{path}: {exc}") from exc
         if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] != 2:
             raise DomainError(f"{path}: expected two columns and at least two rows")
+        if not np.all(np.isfinite(data)):
+            raise DomainError(f"{path}: non-finite value")
         t, v = data[:, 0], data[:, 1]
         steps = np.diff(t)
         dt = float(steps[0])

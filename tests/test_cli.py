@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from semisub_motion.cli import main
-from semisub_motion.dataset import load_dataset
-from semisub_motion.network import load_checkpoint
+from semisub_motion.dataset import (NormalizationConstants, build_pairs,
+                                    load_dataset, regularize)
+from semisub_motion.network import forward, load_checkpoint
 from semisub_motion.timeseries import TimeSeries
 from semisub_motion.vessel import load_campaign
 
@@ -77,6 +78,44 @@ class TestPipeline:
         assert np.all(np.isfinite(forecast.values))
         # forecast times start at the anchor
         assert forecast.start_time == pytest.approx(200 * 0.775)
+
+    def test_predict_matches_windowed_dataset(self, workspace, tmp_path):
+        root, _ = workspace
+        run_dir = root / "sim" / "campaign"
+        out = tmp_path / "forecast.csv"
+        assert main(["predict",
+                     "--checkpoint", str(root / "model" / "checkpoint.json"),
+                     "--motion", str(run_dir / "WC2_heave.csv"),
+                     "--wave", str(run_dir / "WC2_wave.csv"),
+                     "--anchor", "200", "--output", str(out)]) == 0
+        net = load_checkpoint(root / "model" / "checkpoint.json")
+        norm = NormalizationConstants.from_dict(net.meta["norm"])
+        A, B = norm.A["heave"], norm.B["heave"]
+        motion = regularize(TimeSeries.load_csv(run_dir / "WC2_heave.csv"), A, B)
+        wave = regularize(TimeSeries.load_csv(run_dir / "WC2_wave.csv"),
+                          norm.A["wave"], norm.B["wave"])
+        ds = build_pairs(motion, wave, TINY["n"], TINY["m"], TINY["w"])
+        i = int(np.flatnonzero(ds.anchors == 200)[0])
+        expected = forward(net, ds.X[i]) * B + A
+        assert np.array_equal(TimeSeries.load_csv(out).values, expected)
+
+    @pytest.mark.parametrize("cell", ["abc", "nan"])
+    def test_predict_rejects_bad_motion_cell(self, workspace, tmp_path, capsys,
+                                             cell):
+        root, _ = workspace
+        run_dir = root / "sim" / "campaign"
+        lines = (run_dir / "WC2_heave.csv").read_text().splitlines()
+        lines[5] = lines[5].split(",")[0] + "," + cell
+        motion = tmp_path / "motion.csv"
+        motion.write_text("\n".join(lines) + "\n")
+        code = main(["predict",
+                     "--checkpoint", str(root / "model" / "checkpoint.json"),
+                     "--motion", str(motion),
+                     "--wave", str(run_dir / "WC2_wave.csv"),
+                     "--output", str(tmp_path / "forecast.csv")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_predict_requires_wave_channel(self, workspace, tmp_path):
         root, _ = workspace
@@ -150,6 +189,34 @@ class TestPipeline:
                                 skiprows=1)
         assert per_window.ndim == 2 and per_window.shape[1] == 2
         assert "median" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("defect", ["format_version", "missing_key", "samples",
+                                        "unparsable", "nan_x", "nan_y"])
+    def test_evaluate_rejects_bad_dataset(self, workspace, tmp_path, capsys, defect):
+        root, _ = workspace
+        src = root / "data" / "test.csv"
+        manifest = json.loads(src.with_suffix(".csv.manifest.json").read_text())
+        lines = src.read_text().splitlines()
+        cells = lines[2].split(",")
+        if defect == "format_version":
+            manifest["format_version"] = 2
+        elif defect == "missing_key":
+            del manifest["run_ids"]
+        elif defect == "samples":
+            manifest["samples"] += 1
+        else:
+            index = {"unparsable": 3, "nan_x": 1, "nan_y": -1}[defect]
+            cells[index] = "abc" if defect == "unparsable" else "nan"
+        lines[2] = ",".join(cells)
+        dataset = tmp_path / "test.csv"
+        dataset.write_text("\n".join(lines) + "\n")
+        dataset.with_suffix(".csv.manifest.json").write_text(json.dumps(manifest))
+        code = main(["evaluate",
+                     "--checkpoint", str(root / "model" / "checkpoint.json"),
+                     "--dataset", str(dataset), "--output", str(tmp_path / "eval")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_sweep_and_report(self, workspace):
         root, config = workspace

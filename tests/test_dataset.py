@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from semisub_motion.dataset import (REFERENCE_NORM_CM,
                                     add_noise, build_pairs,
                                     compute_norm_constants, deregularize,
-                                    load_dataset, pair_count, regularize,
-                                    save_dataset, split_campaign)
+                                    load_dataset, noise_seed, pair_count,
+                                    regularize, role_dataset, save_dataset,
+                                    split_campaign)
 from semisub_motion.errors import (ConfigurationError, DegenerateDataError,
                                    DomainError)
 from semisub_motion.timeseries import TimeSeries
@@ -104,6 +105,11 @@ class TestAddNoise:
         a = add_noise(ts, 0.3, seed=2).values
         b = add_noise(ts, 0.3, seed=2).values
         assert np.array_equal(a, b)
+
+    def test_seed_keyed_on_canonical_level(self):
+        assert noise_seed("WC1", "heave", 0.3, 0) == 374777761
+        assert noise_seed("WC1", "heave", 0.1 + 0.2, 0) == noise_seed("WC1", "heave", 0.3, 0)
+        assert noise_seed("WC1", "heave", 1, 0) == noise_seed("WC1", "heave", 1.0, 0)
 
     def test_negative_level_rejected(self):
         with pytest.raises(DomainError):
@@ -224,6 +230,38 @@ class TestSplitCampaign:
         a = split_campaign(campaign, "surge", 20, 10, 10, noise_levels=[0.2])[0]
         b = split_campaign(campaign, "surge", 20, 10, 10, noise_levels=[0.2])[0]
         assert np.array_equal(a.X, b.X) and np.array_equal(a.Y, b.Y)
+
+
+class TestRoleDataset:
+    @pytest.mark.parametrize("use_wave", [True, False])
+    def test_each_role_matches_split_campaign(self, campaign, use_wave):
+        norm = compute_norm_constants(campaign)
+        w = 10 if use_wave else 0
+        halves = split_campaign(campaign, "surge", 20, 10, w, noise_levels=[0.0, 0.2],
+                                use_wave=use_wave, norm=norm, noise_base_seed=4,
+                                stride=3, test_noise_level=0.4)
+        for role, levels, half in zip(("training", "test"), ([0.0, 0.2], [0.4]), halves):
+            ds = role_dataset(campaign, role, "surge", 20, 10, w, levels, norm,
+                              use_wave=use_wave, noise_base_seed=4, stride=3)
+            assert np.array_equal(ds.X, half.X) and np.array_equal(ds.Y, half.Y)
+            assert np.array_equal(ds.anchors, half.anchors)
+            assert ds.run_ids == half.run_ids
+            assert (ds.role, ds.noise_level) == (half.role, half.noise_level) == (role, levels[-1])
+
+    def test_campaign_without_training_runs_rejected(self, campaign):
+        test_only = [r for r in campaign if r.condition.dataset_role == "test"]
+        norm = compute_norm_constants(campaign)
+        with pytest.raises(ConfigurationError, match="no training-role run"):
+            role_dataset(test_only, "training", "heave", 20, 10, 10, [0.0], norm)
+        with pytest.raises(ConfigurationError):
+            split_campaign(test_only, "heave", 20, 10, 10)
+
+    def test_targets_cut_from_target_series(self):
+        motion = series(np.arange(50, dtype=float))
+        target = series(np.arange(50, dtype=float) * 10)
+        ds = build_pairs(motion, None, n=6, m=4, w=0, target=target)
+        assert np.array_equal(ds.Y, build_pairs(target, None, n=6, m=4, w=0).Y)
+        assert np.array_equal(ds.X, build_pairs(motion, None, n=6, m=4, w=0).X)
 
 
 class TestDatasetIO:

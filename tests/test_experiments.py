@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from semisub_motion import dataset
 from semisub_motion.errors import ConfigurationError
 from semisub_motion.experiments import (EXAMPLE2_TRAINING_IDS,
                                         ExperimentConfig, aggregate_reports,
@@ -195,6 +196,22 @@ class TestRunners:
         assert (out / "checkpoint.json").exists()
         assert (out / "test_noise_0.3_traces.csv").exists()
         assert set(results) == {"model", "test_noise_0.0", "test_noise_0.3"}
+
+    def test_example2_windows_training_set_once(self, campaign, tmp_path,
+                                               monkeypatch):
+        roles = []
+        windowed_run = dataset._windowed_run
+
+        def counting(run, *args):
+            roles.append(run.condition.dataset_role)
+            return windowed_run(run, *args)
+
+        monkeypatch.setattr(dataset, "_windowed_run", counting)
+        config = tiny_config(example_id=2, max_epochs=0, test_noise_levels=[0.0, 0.3],
+                             output_dir=str(tmp_path / "runs"))
+        run_experiment(config, campaign)
+        assert roles.count("training") == (len(EXAMPLE2_TRAINING_IDS)
+                                           * len(config.noise_levels))
 
     def test_example3_outputs(self, campaign, tmp_path):
         config = tiny_config(example_id=3, max_epochs=1,

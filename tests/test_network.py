@@ -294,6 +294,20 @@ class TestCheckpoint:
         with pytest.raises(DomainError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("doc", [
+        lambda doc: {k: v for k, v in doc.items() if k != "param_count"},
+        lambda doc: [doc],
+        lambda doc: {**doc, "meta": [1]},
+    ], ids=["no_param_count", "top_level_list", "meta_list"])
+    def test_malformed_document_rejected(self, tmp_path, doc):
+        import json
+        path = tmp_path / "net.json"
+        save_checkpoint(init_network(1, [2], 1, 2, 2, seed=0), path)
+        path.write_text(json.dumps(doc(json.loads(path.read_text()))))
+        with pytest.raises(DomainError) as info:
+            load_checkpoint(path)
+        assert "\n" not in str(info.value)
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "trunc.json"
         path.write_text('{"format_version": 1, "lstm')
