@@ -17,14 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import (NormalizationConstants, input_windows, load_dataset,
-                      regularize, save_dataset, split_campaign)
+                      regularize, save_dataset)
 from .errors import SemisubError
-from .experiments import (ExperimentConfig, aggregate_reports, get_campaign,
-                          run_experiment, save_history, select_runs, train_cell)
+from .experiments import (ExperimentConfig, aggregate_reports, cell_datasets,
+                          get_campaign, run_experiment, save_history, train_cell)
 from .metrics import evaluate, save_summaries, save_window_accuracies
 from .network import count_params, forward, load_checkpoint, save_checkpoint
 from .timeseries import TimeSeries
-from .vessel import ResponseParams, generate_campaign, save_campaign
+from .vessel import ResponseParams, save_campaign
 
 
 def _parse_value(raw: str):
@@ -57,9 +57,7 @@ def _load_config(args) -> ExperimentConfig:
 def cmd_simulate(args) -> int:
     config = _load_config(args)
     out = Path(args.output or config.output_dir) / "campaign"
-    campaign = generate_campaign(base_seed=config.campaign_seed,
-                                 params=ResponseParams(),
-                                 duration=config.duration, dt=config.dt)
+    campaign = get_campaign(config)
     save_campaign(campaign, out, params=ResponseParams())
     print(f"wrote {len(campaign)}-run campaign to {out}")
     return 0
@@ -67,14 +65,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_build_dataset(args) -> int:
     config = _load_config(args)
-    campaign = select_runs(get_campaign(config, args.campaign),
-                           config.training_condition_ids)
-    noise = config.noise_levels if config.example_id == 2 else [0.0]
-    use_wave = config.example_id != 3
-    training, test = split_campaign(
-        campaign, config.channel, config.n, config.m,
-        config.w if use_wave else 0, noise_levels=noise, use_wave=use_wave,
-        noise_base_seed=config.noise_seed, stride=config.anchor_stride)
+    training, test = cell_datasets(get_campaign(config, args.campaign), config,
+                                   config.n, config.m, config.w)
     out = Path(args.output or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(training, out / "training.csv")
@@ -85,12 +77,8 @@ def cmd_build_dataset(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args)
-    campaign = get_campaign(config, args.campaign)
-    use_wave = config.example_id != 3
-    noise = config.noise_levels if config.example_id == 2 else [0.0]
-    cell = train_cell(campaign, config, config.n, config.m,
-                      config.w if use_wave else 0, use_wave=use_wave,
-                      noise_levels=noise)
+    cell = train_cell(get_campaign(config, args.campaign), config,
+                      config.n, config.m, config.w)
     out = Path(args.output or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(cell.net, out / "checkpoint.json")

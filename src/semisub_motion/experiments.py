@@ -8,6 +8,10 @@ Three experiment families are supported:
      and evaluation across test noise levels;
   3. motion-only prediction with sweeps over the LSTM/FC architecture.
 
+One ``ExperimentConfig`` (a ``TrainingConfig``) describes a run; its
+``example_id`` decides which inputs every cell reads, and a swept cell is
+the config with the swept fields replaced.
+
 Every run is reproducible from the config: the campaign seed, network
 initialization seed, shuffle seed, and noise seed are independent fields.
 """
@@ -67,7 +71,7 @@ _MINIMUM = {"n": 1, "m": 1, "w": 0, "fc_count": 0, "fc_width": 1,
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(TrainingConfig):
     """Everything needed to reproduce one experiment run."""
 
     example_id: int = 1
@@ -88,17 +92,9 @@ class ExperimentConfig:
     lstm_layer_sweep: list[int] = field(default_factory=lambda: [1, 2])
     fc_count_sweep: list[int] = field(default_factory=lambda: [1, 2, 3, 4])
     fc_width_sweep: list[int] = field(default_factory=lambda: [10, 30, 50])
-    # training protocol
-    initial_lr: float = 0.01
-    warm_epochs: int = 20
-    decay_factor: float = 0.1
-    decay_every: int = 100
-    batch_size: int = 512
-    max_epochs: int = 150
-    # seeds, isolated per variance source
+    # seeds, isolated per variance source (shuffle_seed is TrainingConfig's)
     campaign_seed: int = 0
     init_seed: int = 0
-    shuffle_seed: int = 0
     noise_seed: int = 0
     # desk-scale knobs
     duration: float = FULL_SCALE_DURATION
@@ -125,12 +121,20 @@ class ExperimentConfig:
         if not (0 < self.dt < np.inf and 0 < self.duration < np.inf):
             raise ConfigurationError(f"dt and duration must be positive and finite, "
                                      f"got {self.dt} and {self.duration}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if "float" in f.type and not np.all(np.isfinite(value)):
+                raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
+        for name, levels in (("noise_levels", self.noise_levels),
+                             ("test_noise_levels", self.test_noise_levels)):
+            if min(levels, default=0.0) < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {levels!r}")
         ids = self.training_condition_ids
         if ids is not None and (not ids or not set(ids) <= set(_TRAINING_IDS)):
             raise ConfigurationError(
                 f"training_condition_ids must name training conditions among "
                 f"{', '.join(_TRAINING_IDS)}, got {ids!r}")
-        self.training_config()  # learning-rate schedule ranges
+        super().__post_init__()  # learning-rate schedule ranges
         if self.example_id not in (1, 2, 3):
             raise ConfigurationError(f"example_id must be 1, 2 or 3, got {self.example_id}")
         if self.channel not in ("heave", "surge"):
@@ -138,12 +142,15 @@ class ExperimentConfig:
         if self.example_id == 2 and not self.noise_levels:
             raise ConfigurationError("example 2 requires non-empty noise_levels")
 
-    def training_config(self) -> TrainingConfig:
-        return TrainingConfig(
-            initial_lr=self.initial_lr, warm_epochs=self.warm_epochs,
-            decay_factor=self.decay_factor, decay_every=self.decay_every,
-            batch_size=self.batch_size, max_epochs=self.max_epochs,
-            seed=self.shuffle_seed)
+    @property
+    def use_wave(self) -> bool:
+        """Examples 1 and 2 read the lagged wave, example 3 motion alone."""
+        return self.example_id != 3
+
+    @property
+    def train_noise_levels(self) -> list[float]:
+        """Example 2 trains on every noise level, the others on clean inputs."""
+        return list(self.noise_levels) if self.example_id == 2 else [0.0]
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -197,30 +204,32 @@ class CellResult:
                 - self.test_report.accuracy.summary.mean)
 
 
+def cell_datasets(campaign: list[CampaignRun], config: ExperimentConfig, n: int,
+                  m: int, w: int, norm: NormalizationConstants | None = None,
+                  ) -> tuple[WindowedDataset, WindowedDataset]:
+    """One cell's training and test sets, with the inputs its example reads;
+    a motion-only cell reads no wave, so its wave lag is 0 whatever ``w`` is."""
+    return split_campaign(
+        select_runs(campaign, config.training_condition_ids), config.channel,
+        n, m, w if config.use_wave else 0, noise_levels=config.train_noise_levels,
+        use_wave=config.use_wave, norm=norm, noise_base_seed=config.noise_seed,
+        stride=config.anchor_stride)
+
+
 def train_cell(campaign: list[CampaignRun], config: ExperimentConfig,
-               n: int, m: int, w: int, use_wave: bool = True,
-               noise_levels=None, test_noise_level: float = 0.0,
-               lstm_hidden=None, fc_count=None, fc_width=None,
+               n: int, m: int, w: int,
                norm: NormalizationConstants | None = None) -> CellResult:
     """Build datasets, train one network, evaluate on train and test sets."""
-    runs = select_runs(campaign, config.training_condition_ids)
-    norm = norm or compute_norm_constants(runs)
-    training, test = split_campaign(
-        runs, config.channel, n, m, w, noise_levels=noise_levels,
-        use_wave=use_wave, norm=norm, noise_base_seed=config.noise_seed,
-        stride=config.anchor_stride, test_noise_level=test_noise_level)
-    r = 2 if use_wave else 1
-    net = init_network(r, list(lstm_hidden or config.lstm_hidden),
-                       fc_count if fc_count is not None else config.fc_count,
-                       fc_width if fc_width is not None else config.fc_width,
-                       m, seed=config.init_seed)
-    net.meta = {"channel": config.channel, "n": n, "m": m, "w": w, "r": r,
-                "dt": config.dt, "norm": norm.to_dict(),
+    training, test = cell_datasets(campaign, config, n, m, w, norm)
+    net = init_network(training.r, config.lstm_hidden, config.fc_count,
+                       config.fc_width, m, seed=config.init_seed)
+    net.meta = {"channel": config.channel, "n": n, "m": m, "w": training.w,
+                "r": training.r, "dt": config.dt, "norm": training.norm.to_dict(),
                 "seeds": {"campaign": config.campaign_seed,
                           "init": config.init_seed,
                           "shuffle": config.shuffle_seed,
                           "noise": config.noise_seed}}
-    net, history = train(net, training, test, config.training_config())
+    net, history = train(net, training, test, config)
     return CellResult(net=net, history=history,
                       train_report=evaluate(net, training),
                       test_report=evaluate(net, test))
@@ -258,7 +267,7 @@ def run_example1(config: ExperimentConfig, out: Path,
     def run_cells(cells, tag):
         rows = []
         for (n, m, w) in cells:
-            cell = train_cell(campaign, config, n, m, w, use_wave=True, norm=norm)
+            cell = train_cell(campaign, config, n, m, w, norm=norm)
             name = f"{tag}_n{n}_m{m}_w{w}"
             rows.append((name, cell.test_report))
             save_history(cell.history, out / f"{name}_history.csv")
@@ -291,8 +300,7 @@ def run_example2(config: ExperimentConfig, out: Path,
     runs = select_runs(campaign, config.training_condition_ids)
     norm = compute_norm_constants(runs)
     n, m, w = config.n, config.m, config.w
-    cell = train_cell(campaign, config, n, m, w, use_wave=True,
-                      noise_levels=config.noise_levels, norm=norm)
+    cell = train_cell(campaign, config, n, m, w, norm=norm)
     save_history(cell.history, out / "history.csv")
     save_checkpoint(cell.net, out / "checkpoint.json")
 
@@ -317,32 +325,25 @@ def run_example3(config: ExperimentConfig, out: Path,
     out.mkdir(parents=True, exist_ok=True)
     campaign = campaign or get_campaign(config)
     norm = compute_norm_constants(select_runs(campaign, config.training_condition_ids))
-    n, m = config.n, config.m
     results = {}
 
-    lstm_rows = []
-    for depth in config.lstm_layer_sweep:
-        for hidden in config.hidden_sweep:
-            cell = train_cell(campaign, config, n, m, 0, use_wave=False,
-                              lstm_hidden=[hidden] * depth,
-                              fc_count=3, fc_width=30, norm=norm)
-            name = f"lstm_layers{depth}_hidden{hidden}"
-            lstm_rows += [(name + "_test", cell.test_report),
-                          (name + "_train", cell.train_report)]
+    def run_cells(cells, tag):
+        rows = []
+        for name, cell_config in cells:
+            cell = train_cell(campaign, cell_config, config.n, config.m, 0, norm=norm)
+            rows += [(name + "_test", cell.test_report),
+                     (name + "_train", cell.train_report)]
             results[name] = cell
-    save_summaries(lstm_rows, out / f"lstm_sweep_{config.channel}_summary.csv")
+        save_summaries(rows, out / f"{tag}_{config.channel}_summary.csv")
 
-    fc_rows = []
-    for fc_count in config.fc_count_sweep:
-        for fc_width in config.fc_width_sweep:
-            cell = train_cell(campaign, config, n, m, 0, use_wave=False,
-                              lstm_hidden=[30], fc_count=fc_count,
-                              fc_width=fc_width, norm=norm)
-            name = f"fc_layers{fc_count}_width{fc_width}"
-            fc_rows += [(name + "_test", cell.test_report),
-                        (name + "_train", cell.train_report)]
-            results[name] = cell
-    save_summaries(fc_rows, out / f"fc_sweep_{config.channel}_summary.csv")
+    run_cells([(f"lstm_layers{depth}_hidden{hidden}",
+                replace(config, lstm_hidden=[hidden] * depth, fc_count=3, fc_width=30))
+               for depth in config.lstm_layer_sweep
+               for hidden in config.hidden_sweep], "lstm_sweep")
+    run_cells([(f"fc_layers{count}_width{width}",
+                replace(config, lstm_hidden=[30], fc_count=count, fc_width=width))
+               for count in config.fc_count_sweep
+               for width in config.fc_width_sweep], "fc_sweep")
     return results
 
 

@@ -51,18 +51,21 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
 
 @dataclass
 class TrainingConfig:
-    """Optimization hyperparameters; defaults follow the reference protocol."""
+    """Optimization hyperparameters; defaults follow the reference protocol.
+
+    ``ExperimentConfig`` inherits these fields, so ``train`` takes one as is.
+    """
 
     initial_lr: float = 0.01
     warm_epochs: int = 20
     decay_factor: float = 0.1
     decay_every: int = 100
     batch_size: int = 512
-    max_epochs: int = 300
-    seed: int = 0
+    max_epochs: int = 150
+    shuffle_seed: int = 0
 
     def __post_init__(self):
-        if self.initial_lr <= 0 or self.batch_size < 1 or self.max_epochs < 0:
+        if not 0 < self.initial_lr < np.inf or self.batch_size < 1 or self.max_epochs < 0:
             raise ConfigurationError("invalid training configuration")
         if self.warm_epochs < 0 or self.decay_every < 1 or not 0 < self.decay_factor <= 1:
             raise ConfigurationError("invalid schedule configuration")
@@ -111,7 +114,7 @@ def train(net: Network, training: WindowedDataset, test: WindowedDataset,
     history: list[EpochRecord] = []
     if config.max_epochs == 0:
         return net, history
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.shuffle_seed)
     params = net.parameters()
     state = AdamState.for_parameters(params)
     best_loss = np.inf

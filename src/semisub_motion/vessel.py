@@ -187,12 +187,15 @@ def generate_campaign(conditions=DEFAULT_CONDITIONS, base_seed: int = 0,
     return runs
 
 
+CAMPAIGN_VERSION = 1
+
+
 def save_campaign(runs: list[CampaignRun], directory,
                   params: ResponseParams | None = None) -> None:
     """One CSV per channel per run plus a JSON manifest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    manifest = {"format_version": 1, "runs": []}
+    manifest = {"format_version": CAMPAIGN_VERSION, "runs": []}
     if params is not None:
         manifest["response_params"] = asdict(params)
     for run in runs:
@@ -208,12 +211,29 @@ def save_campaign(runs: list[CampaignRun], directory,
 
 
 def load_campaign(directory) -> list[CampaignRun]:
+    """Read a ``save_campaign`` directory, checking each CSV against its manifest."""
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
+    path = directory / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict) or manifest.get("format_version") != CAMPAIGN_VERSION:
+        raise DomainError(f"{path}: unsupported campaign format version")
+    try:
+        entries = [(WaveCondition(**e["condition"]), e["seed"], e["dt"], e["samples"])
+                   for e in manifest["runs"]]
+    except (KeyError, TypeError) as exc:
+        raise DomainError(f"{path}: malformed run entry: {exc!r}") from exc
     runs = []
-    for entry in manifest["runs"]:
-        cond = WaveCondition(**entry["condition"])
+    for cond, seed, dt, samples in entries:
         series = {ch: TimeSeries.load_csv(directory / f"{cond.id}_{ch}.csv")
                   for ch in ("wave", "heave", "surge")}
-        runs.append(CampaignRun(condition=cond, seed=entry["seed"], **series))
+        for ch, ts in series.items():
+            if not (ts.values.size == samples and isinstance(dt, (int, float))
+                    and np.isclose(ts.dt, dt, rtol=1e-9, atol=0.0)):
+                raise DomainError(
+                    f"{directory / f'{cond.id}_{ch}.csv'}: {ts.values.size} samples at "
+                    f"dt {ts.dt!r}, but the manifest declares {samples!r} at dt {dt!r}")
+        runs.append(CampaignRun(condition=cond, seed=seed, **series))
     return runs

@@ -223,8 +223,7 @@ class TestCriterion8:
     def test_noise_robustness(self, campaign):
         config = desk_config(example_id=2, max_epochs=5, anchor_stride=10,
                              training_condition_ids=list(EXAMPLE2_TRAINING_IDS))
-        cell = train_cell(campaign, config, 60, 20, 20,
-                          noise_levels=list(config.noise_levels))
+        cell = train_cell(campaign, config, 60, 20, 20)
         runs = select_runs(campaign, config.training_condition_ids)
         norm = cell.net.meta["norm"]
         from semisub_motion.dataset import NormalizationConstants
@@ -243,9 +242,9 @@ class TestCriterion8:
 
 class TestCriterion9:
     def test_motion_only_degradation(self, campaign, heave_cell):
-        config = desk_config(example_id=3, max_epochs=8)
-        motion_cell = train_cell(campaign, config, 60, 20, 0, use_wave=False,
-                                 lstm_hidden=[30], fc_count=3, fc_width=30)
+        config = desk_config(example_id=3, max_epochs=8, lstm_hidden=[30],
+                             fc_count=3, fc_width=30)
+        motion_cell = train_cell(campaign, config, 60, 20, 0)
         gap = (heave_cell.test_report.accuracy.summary.mean
                - motion_cell.test_report.accuracy.summary.mean)
         report(9, "motion-only degradation", 0.05 <= gap <= 0.20,

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -214,6 +215,63 @@ class TestPipeline:
         code = main(["evaluate",
                      "--checkpoint", str(root / "model" / "checkpoint.json"),
                      "--dataset", str(dataset), "--output", str(tmp_path / "eval")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_example2_trains_on_every_noise_level(self, workspace, tmp_path):
+        root, config = workspace
+        campaign = str(root / "sim" / "campaign")
+        for command in ("build-dataset", "train"):
+            assert main([command, "--config", str(config), "--set", "example_id=2",
+                         "--campaign", campaign, "--output", str(tmp_path)]) == 0
+        clean = load_dataset(root / "data" / "training.csv")
+        noisy = load_dataset(tmp_path / "training.csv")
+        levels = TINY["noise_levels"]
+        assert len(noisy) == len(clean) * len(levels)
+        assert noisy.noise_level == max(levels)
+        assert np.array_equal(noisy.Y, np.concatenate(
+            [clean.Y[np.array(clean.run_ids) == run]
+             for run in sorted(set(clean.run_ids)) for _ in levels]))
+        # dataset,channel,n,m,w,noise,...: the model's training report
+        training_row = (tmp_path / "summary.csv").read_text().splitlines()[1]
+        assert training_row.split(",")[5] == repr(max(levels))
+
+    def test_example3_reads_motion_alone(self, workspace, tmp_path):
+        root, config = workspace
+        campaign = str(root / "sim" / "campaign")
+        for command in ("build-dataset", "train"):
+            assert main([command, "--config", str(config), "--set", "example_id=3",
+                         "--campaign", campaign, "--output", str(tmp_path)]) == 0
+        for role in ("training", "test"):
+            manifest = json.loads((tmp_path / f"{role}.csv.manifest.json").read_text())
+            assert (manifest["r"], manifest["w"]) == (1, 0)
+        meta = load_checkpoint(tmp_path / "checkpoint.json").meta
+        assert (meta["r"], meta["w"]) == (1, 0)
+
+    @pytest.mark.parametrize("defect", ["format_version", "samples", "dt",
+                                        "missing_runs", "unknown_condition_key",
+                                        "invalid_json"])
+    def test_build_dataset_rejects_bad_campaign(self, workspace, tmp_path, capsys,
+                                                defect):
+        root, config = workspace
+        campaign = tmp_path / "campaign"
+        shutil.copytree(root / "sim" / "campaign", campaign)
+        path = campaign / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if defect == "format_version":
+            manifest["format_version"] = 7
+        elif defect == "samples":
+            manifest["runs"][0]["samples"] += 5
+        elif defect == "dt":
+            manifest["runs"][0]["dt"] = 0.5
+        elif defect == "missing_runs":
+            del manifest["runs"]
+        elif defect == "unknown_condition_key":
+            manifest["runs"][0]["condition"]["depth"] = 100.0
+        path.write_text("{not json" if defect == "invalid_json" else json.dumps(manifest))
+        code = main(["build-dataset", "--config", str(config), "--campaign",
+                     str(campaign), "--output", str(tmp_path / "data")])
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error:")

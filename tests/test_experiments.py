@@ -10,7 +10,7 @@ from semisub_motion.experiments import (EXAMPLE2_TRAINING_IDS,
                                         get_campaign, run_experiment,
                                         save_history, select_runs, train_cell)
 from semisub_motion.metrics import SUMMARY_HEADER
-from semisub_motion.training import EpochRecord
+from semisub_motion.training import EpochRecord, TrainingConfig
 from semisub_motion.vessel import generate_campaign
 
 
@@ -56,8 +56,9 @@ class TestConfig:
 
     def test_training_config_fields(self):
         config = tiny_config(initial_lr=0.02, max_epochs=9, shuffle_seed=5)
-        tc = config.training_config()
-        assert (tc.initial_lr, tc.max_epochs, tc.seed) == (0.02, 9, 5)
+        assert isinstance(config, TrainingConfig)
+        assert (config.initial_lr, config.max_epochs, config.shuffle_seed) == (0.02, 9, 5)
+        assert ExperimentConfig().max_epochs == TrainingConfig().max_epochs == 150
 
     @pytest.mark.parametrize("value", ["abc", True, 12.0, None])
     def test_integer_field_must_be_int(self, value):
@@ -104,6 +105,16 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=field):
             tiny_config(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("initial_lr", float("nan")), ("initial_lr", float("inf")),
+        ("decay_factor", float("nan")),
+        ("noise_levels", [0.0, float("nan")]), ("noise_levels", [float("inf")]),
+        ("noise_levels", [-0.1]), ("test_noise_levels", [float("nan")]),
+        ("test_noise_levels", [0.0, -0.2])])
+    def test_rates_and_noise_levels_finite_and_non_negative(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            tiny_config(example_id=2, **{field: value})
+
     @pytest.mark.parametrize("ids", [["WCX"], ["WC2"], [], "WC1"])
     def test_training_ids_name_training_conditions(self, ids):
         with pytest.raises(ConfigurationError, match="training_condition_ids"):
@@ -143,9 +154,17 @@ class TestTrainCell:
 
     def test_motion_only_cell_single_input(self, campaign):
         config = tiny_config(example_id=3)
-        cell = train_cell(campaign, config, config.n, config.m, 0,
-                          use_wave=False)
+        cell = train_cell(campaign, config, config.n, config.m, 0)
         assert cell.net.meta["r"] == 1
+
+    @pytest.mark.parametrize("example_id, r, noise_level", [
+        (1, 2, 0.0), (2, 2, 0.3), (3, 1, 0.0)])
+    def test_example_decides_inputs(self, campaign, example_id, r, noise_level):
+        config = tiny_config(example_id=example_id, max_epochs=0)
+        cell = train_cell(campaign, config, config.n, config.m, config.w)
+        assert (cell.net.meta["r"], cell.net.meta["w"]) == (r, config.w if r == 2 else 0)
+        assert cell.train_report.noise_level == noise_level
+        assert cell.test_report.noise_level == 0.0
 
     def test_reproducible_given_seeds(self, campaign):
         config = tiny_config(max_epochs=1)

@@ -1,0 +1,37 @@
+"""Smoke runs of the example scripts at a tiny config."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from semisub_motion.metrics import SUMMARY_HEADER
+
+ROOT = Path(__file__).resolve().parents[1]
+TINY = ["channel=heave", "n=12", "m=6", "w=6",
+        "noise_levels=[0.0,0.3]", "test_noise_levels=[0.0]",
+        "lstm_hidden=[8]", "fc_count=1", "fc_width=8",
+        "n_sweep=[12]", "w_sweep=[6]", "m_sweep=[6]",
+        "hidden_sweep=[8]", "lstm_layer_sweep=[1]",
+        "fc_count_sweep=[1]", "fc_width_sweep=[8]",
+        "batch_size=128", "max_epochs=1", "duration=400.0", "anchor_stride=7"]
+SUMMARIES = {1: ["time_window", "wave_lag", "prediction_length"],
+             2: ["noise"], 3: ["lstm_sweep", "fc_sweep"]}
+
+
+@pytest.mark.parametrize("example", sorted(SUMMARIES))
+def test_example_script_writes_its_summaries(tmp_path, example):
+    env = {**os.environ, "SEMISUB_OUTPUT_ROOT": str(tmp_path),
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    args = [arg for item in TINY for arg in ("--set", item)]
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / f"run_example{example}.py"), *args],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    out = tmp_path / "runs" / f"example{example}_heave"
+    for tag in SUMMARIES[example]:
+        lines = (out / f"{tag}_heave_summary.csv").read_text().splitlines()
+        assert lines[0] == SUMMARY_HEADER and len(lines) >= 2

@@ -94,7 +94,7 @@ class TestTrain:
         training = toy_dataset(seed=0)
         test = toy_dataset(seed=1, role="test")
         _, history = train(net, training, test,
-                           TrainingConfig(max_epochs=30, batch_size=64, seed=3))
+                           TrainingConfig(max_epochs=30, batch_size=64, shuffle_seed=3))
         assert history[-1].train_loss < 0.2 * history[0].train_loss
         assert history[-1].test_loss < history[0].test_loss
 
@@ -103,7 +103,7 @@ class TestTrain:
         training = toy_dataset(seed=0)
         test = toy_dataset(seed=1, role="test")
         net, history = train(net, training, test,
-                             TrainingConfig(max_epochs=15, batch_size=64, seed=5))
+                             TrainingConfig(max_epochs=15, batch_size=64, shuffle_seed=5))
         best = min(rec.test_loss for rec in history)
         assert dataset_loss(net, test) == pytest.approx(best, rel=1e-9)
 
@@ -112,7 +112,7 @@ class TestTrain:
             net = init_network(1, [4], 1, 4, 3, seed=6)
             _, history = train(net, toy_dataset(seed=0),
                                toy_dataset(seed=1, role="test"),
-                               TrainingConfig(max_epochs=5, batch_size=64, seed=7))
+                               TrainingConfig(max_epochs=5, batch_size=64, shuffle_seed=7))
             return [rec.train_loss for rec in history], net.parameters()
         losses_a, params_a = run()
         losses_b, params_b = run()
@@ -151,3 +151,9 @@ def test_config_validation():
         TrainingConfig(batch_size=0)
     with pytest.raises(ConfigurationError):
         TrainingConfig(decay_factor=0.0)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+def test_non_finite_learning_rate_rejected(lr):
+    with pytest.raises(ConfigurationError):
+        TrainingConfig(initial_lr=lr)
