@@ -6,8 +6,8 @@ area-ratio accuracy metric.
 """
 
 from .dataset import (NormalizationConstants, WindowedDataset, add_noise,
-                      build_pairs, compute_norm_constants, deregularize,
-                      regularize, split_campaign)
+                      build_pairs, compute_norm_constants, regularize,
+                      split_campaign)
 from .errors import (ConfigurationError, DegenerateDataError, DomainError,
                      NumericalError, SemisubError)
 from .experiments import ExperimentConfig, run_experiment, train_cell
@@ -21,7 +21,7 @@ from .training import (AdamState, TrainingConfig, adam_step, lr_schedule,
 from .vessel import (DEFAULT_CONDITIONS, CampaignRun, ResponseParams,
                      WaveCondition, generate_campaign, heave_response,
                      load_campaign, save_campaign, surge_response)
-from .waves import (SpectrumEstimate, SpectrumParams, calibrate_alpha,
-                    estimate_spectrum, jonswap_density, synthesize_wave)
+from .waves import (SpectrumParams, calibrate_alpha, jonswap_density,
+                    synthesize_wave)
 
 __version__ = "0.1.0"

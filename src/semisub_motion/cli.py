@@ -18,11 +18,12 @@ import numpy as np
 
 from .dataset import (NormalizationConstants, input_windows, load_dataset,
                       regularize, save_dataset)
-from .errors import SemisubError
+from .errors import SemisubError, check
 from .experiments import (ExperimentConfig, aggregate_reports, cell_datasets,
                           get_campaign, run_experiment, save_history, train_cell)
 from .metrics import evaluate, save_summaries, save_window_accuracies
-from .network import count_params, forward, load_checkpoint, save_checkpoint
+from .network import (META_TABLE, count_params, forward, load_checkpoint,
+                      save_checkpoint)
 from .timeseries import TimeSeries
 from .vessel import ResponseParams, save_campaign
 
@@ -94,10 +95,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     net = load_checkpoint(args.checkpoint)
     meta = net.meta
-    missing = {"n", "m", "w", "r", "dt", "norm", "channel"} - meta.keys()
-    if missing:
-        raise SemisubError(f"checkpoint metadata lacks {', '.join(sorted(missing))}; "
-                           f"cannot window inputs")
+    check({"meta": meta}, {"meta": META_TABLE}, where=f"{args.checkpoint}: ")
     n, m, w, r = meta["n"], meta["m"], meta["w"], meta["r"]
     norm = NormalizationConstants.from_dict(meta["norm"])
     channel = meta["channel"]
@@ -136,7 +134,16 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     net = load_checkpoint(args.checkpoint)
+    check({"meta": net.meta}, {"meta": META_TABLE}, where=f"{args.checkpoint}: ")
     ds = load_dataset(args.dataset)
+    window = dict(channel=ds.channel, n=ds.n, m=ds.m, w=ds.w, r=ds.r,
+                  norm=ds.norm.to_dict())
+    differ = [k for k in window if window[k] != net.meta[k]]
+    if not np.isclose(ds.dt, net.meta["dt"], rtol=1e-9, atol=0.0):
+        differ.append("dt")
+    if differ:
+        raise SemisubError(f"{args.dataset} differs from {args.checkpoint} in "
+                           f"{', '.join(differ)}")
     report = evaluate(net, ds)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)

@@ -25,19 +25,18 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError, DegenerateDataError, DomainError
+from .errors import (FLOAT, POSITIVE, STR, ConfigurationError,
+                     DegenerateDataError, DomainError, at_least, one_of,
+                     read_document)
 from .timeseries import TimeSeries
 from .vessel import CampaignRun
 
 CHANNELS = ("wave", "heave", "surge")
-
-# Reference standardization constants from the original basin campaign
-# (units: cm).  Kept as a fixture for comparison; the synthetic campaign
-# computes its own constants with the same procedure.
-REFERENCE_NORM_CM = {
-    "heave": (-0.86, 2.264),
-    "surge": (-100.341, 7.876),
-    "wave": (0.422, 6.766),
+# What a model's windows are: shared by dataset manifests and checkpoint metadata
+WINDOW_SPEC = {
+    "channel": one_of("heave", "surge"), "n": at_least(1), "m": at_least(1),
+    "w": at_least(0), "r": one_of(1, 2), "dt": POSITIVE,
+    "norm": {"A": {ch: FLOAT for ch in CHANNELS}, "B": {ch: POSITIVE for ch in CHANNELS}},
 }
 
 
@@ -47,11 +46,6 @@ class NormalizationConstants:
 
     A: dict[str, float]
     B: dict[str, float]
-
-    def __post_init__(self):
-        for ch, b in self.B.items():
-            if not b > 0:
-                raise DegenerateDataError(f"channel {ch!r} has non-positive scale {b}")
 
     def to_dict(self) -> dict:
         return {"A": dict(self.A), "B": dict(self.B)}
@@ -81,13 +75,6 @@ def regularize(series: TimeSeries, A: float, B: float) -> TimeSeries:
     if not B > 0:
         raise DomainError(f"scale B must be positive, got {B}")
     return series.with_values((series.values - A) / B)
-
-
-def deregularize(series: TimeSeries, A: float, B: float) -> TimeSeries:
-    """Exact inverse of regularize: x * B + A."""
-    if not B > 0:
-        raise DomainError(f"scale B must be positive, got {B}")
-    return series.with_values(series.values * B + A)
 
 
 def noise_seed(run_id: str, channel: str, level: float, base_seed: int = 0) -> int:
@@ -275,8 +262,9 @@ def split_campaign(campaign: list[CampaignRun], channel: str, n: int, m: int,
 
 
 DATASET_VERSION = 1
-_MANIFEST_KEYS = frozenset({"n", "m", "w", "r", "channel", "role", "noise_level",
-                            "dt", "norm", "samples", "run_ids"})
+DATASET_TABLE = {**WINDOW_SPEC, "role": one_of("training", "test"),
+                 "noise_level": at_least(0, "float"), "samples": at_least(1),
+                 "run_ids": [STR]}
 
 
 def save_dataset(ds: WindowedDataset, path) -> None:
@@ -308,18 +296,8 @@ def save_dataset(ds: WindowedDataset, path) -> None:
 def load_dataset(path) -> WindowedDataset:
     """Read a ``save_dataset`` CSV, checking it against its manifest."""
     path = Path(path)
-    manifest_path = path.with_suffix(path.suffix + ".manifest.json")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"{manifest_path}: not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("format_version") != DATASET_VERSION:
-        raise DomainError(f"{manifest_path}: unsupported dataset format version")
-    missing = _MANIFEST_KEYS - manifest.keys()
-    if missing:
-        raise DomainError(f"{manifest_path}: lacks {', '.join(sorted(missing))}")
-    if not all(type(manifest[k]) is int for k in ("n", "m", "w", "r", "samples")):
-        raise DomainError(f"{manifest_path}: n, m, w, r and samples must be integers")
+    manifest = read_document(path.with_suffix(path.suffix + ".manifest.json"),
+                             DATASET_VERSION, DATASET_TABLE)
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
     except ValueError as exc:

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import (NormalizationConstants, WindowedDataset,
                       compute_norm_constants, role_dataset, split_campaign)
-from .errors import ConfigurationError
+from .errors import POSITIVE, STR, ConfigurationError, at_least, one_of
 from .metrics import SUMMARY_HEADER, EvaluationReport, evaluate, save_summaries
 from .network import Network, forward, init_network, save_checkpoint
 from .training import EpochRecord, TrainingConfig, train
@@ -42,37 +42,10 @@ _TRAINING_IDS = tuple(c.id for c in DEFAULT_CONDITIONS
                       if c.dataset_role == "training")
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-# ExperimentConfig field annotation -> accepted values
-_TYPE_CHECKS = {
-    "int": _is_int,
-    "float": _is_number,  # JSON and --set parse 400 as an int
-    "str": lambda v: isinstance(v, str),
-    "list[int]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
-    "list[float]": lambda v: isinstance(v, list) and all(map(_is_number, v)),
-    "list[str] | None": lambda v: v is None or (
-        isinstance(v, list) and all(isinstance(x, str) for x in v)),
-}
-# smallest allowed value of the integer fields and of every sweep entry
-_MINIMUM = {"n": 1, "m": 1, "w": 0, "fc_count": 0, "fc_width": 1,
-            "batch_size": 1, "max_epochs": 0, "anchor_stride": 1,
-            "campaign_seed": 0, "init_seed": 0, "shuffle_seed": 0,
-            "noise_seed": 0,
-            "lstm_hidden": 1, "n_sweep": 1, "w_sweep": 0, "m_sweep": 1,
-            "hidden_sweep": 1, "lstm_layer_sweep": 1, "fc_count_sweep": 1,
-            "fc_width_sweep": 1}
-
-
 @dataclass
 class ExperimentConfig(TrainingConfig):
-    """Everything needed to reproduce one experiment run."""
+    """Everything needed to reproduce one experiment run; ``TABLE`` adds each
+    field's type and range to ``TrainingConfig.TABLE``."""
 
     example_id: int = 1
     channel: str = "heave"           # heave | surge
@@ -103,44 +76,18 @@ class ExperimentConfig(TrainingConfig):
     training_condition_ids: list[str] | None = None
     output_dir: str = "runs"
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _TYPE_CHECKS[f.type](value):
-                raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
-            low = _MINIMUM.get(f.name)
-            if low is None:
-                continue
-            if isinstance(value, list):
-                if not value or min(value) < low:
-                    raise ConfigurationError(
-                        f"{f.name} must be a non-empty list of integers >= {low}, "
-                        f"got {value!r}")
-            elif value < low:
-                raise ConfigurationError(f"{f.name} must be >= {low}, got {value!r}")
-        if not (0 < self.dt < np.inf and 0 < self.duration < np.inf):
-            raise ConfigurationError(f"dt and duration must be positive and finite, "
-                                     f"got {self.dt} and {self.duration}")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if "float" in f.type and not np.all(np.isfinite(value)):
-                raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
-        for name, levels in (("noise_levels", self.noise_levels),
-                             ("test_noise_levels", self.test_noise_levels)):
-            if min(levels, default=0.0) < 0:
-                raise ConfigurationError(f"{name} must be >= 0, got {levels!r}")
-        ids = self.training_condition_ids
-        if ids is not None and (not ids or not set(ids) <= set(_TRAINING_IDS)):
-            raise ConfigurationError(
-                f"training_condition_ids must name training conditions among "
-                f"{', '.join(_TRAINING_IDS)}, got {ids!r}")
-        super().__post_init__()  # learning-rate schedule ranges
-        if self.example_id not in (1, 2, 3):
-            raise ConfigurationError(f"example_id must be 1, 2 or 3, got {self.example_id}")
-        if self.channel not in ("heave", "surge"):
-            raise ConfigurationError(f"channel must be heave or surge, got {self.channel!r}")
-        if self.example_id == 2 and not self.noise_levels:
-            raise ConfigurationError("example 2 requires non-empty noise_levels")
+    TABLE = {
+        **TrainingConfig.TABLE, "example_id": one_of(1, 2, 3),
+        "channel": one_of("heave", "surge"), "duration": POSITIVE, "dt": POSITIVE,
+        **dict.fromkeys(("n", "m", "fc_width", "anchor_stride"), at_least(1)),
+        **dict.fromkeys(("w", "fc_count", "campaign_seed", "init_seed", "noise_seed"),
+                        at_least(0)),
+        **dict.fromkeys(("noise_levels", "test_noise_levels"), [at_least(0, "float")]),
+        **dict.fromkeys(("lstm_hidden", "n_sweep", "m_sweep", "hidden_sweep",
+                         "lstm_layer_sweep", "fc_count_sweep", "fc_width_sweep"),
+                        [at_least(1)]),
+        "w_sweep": [at_least(0)], "output_dir": STR,
+        "training_condition_ids?": [one_of(*_TRAINING_IDS)]}
 
     @property
     def use_wave(self) -> bool:
@@ -151,6 +98,14 @@ class ExperimentConfig(TrainingConfig):
     def train_noise_levels(self) -> list[float]:
         """Example 2 trains on every noise level, the others on clean inputs."""
         return list(self.noise_levels) if self.example_id == 2 else [0.0]
+
+    @property
+    def train_condition_ids(self) -> list[str] | None:
+        """The set ``training_condition_ids``; unset, example 2 trains on
+        WC1/WC3/WC4 and the others on every training condition (None)."""
+        if self.training_condition_ids is None and self.example_id == 2:
+            return list(EXAMPLE2_TRAINING_IDS)
+        return self.training_condition_ids
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -171,8 +126,8 @@ class ExperimentConfig(TrainingConfig):
 
 
 def get_campaign(config: ExperimentConfig, directory=None) -> list[CampaignRun]:
-    """Load a saved campaign if present, otherwise simulate one."""
-    if directory is not None and (Path(directory) / "manifest.json").exists():
+    """Load the campaign saved in ``directory``; simulate one when none is given."""
+    if directory is not None:
         return load_campaign(directory)
     return generate_campaign(DEFAULT_CONDITIONS, base_seed=config.campaign_seed,
                              params=ResponseParams(), duration=config.duration,
@@ -198,11 +153,6 @@ class CellResult:
     train_report: EvaluationReport
     test_report: EvaluationReport
 
-    @property
-    def overfit_gap(self) -> float:
-        return (self.train_report.accuracy.summary.mean
-                - self.test_report.accuracy.summary.mean)
-
 
 def cell_datasets(campaign: list[CampaignRun], config: ExperimentConfig, n: int,
                   m: int, w: int, norm: NormalizationConstants | None = None,
@@ -210,7 +160,7 @@ def cell_datasets(campaign: list[CampaignRun], config: ExperimentConfig, n: int,
     """One cell's training and test sets, with the inputs its example reads;
     a motion-only cell reads no wave, so its wave lag is 0 whatever ``w`` is."""
     return split_campaign(
-        select_runs(campaign, config.training_condition_ids), config.channel,
+        select_runs(campaign, config.train_condition_ids), config.channel,
         n, m, w if config.use_wave else 0, noise_levels=config.train_noise_levels,
         use_wave=config.use_wave, norm=norm, noise_base_seed=config.noise_seed,
         stride=config.anchor_stride)
@@ -261,7 +211,7 @@ def run_example1(config: ExperimentConfig, out: Path,
     """Wave-assisted prediction: sweeps over n, w, and m."""
     out.mkdir(parents=True, exist_ok=True)
     campaign = campaign or get_campaign(config)
-    norm = compute_norm_constants(select_runs(campaign, config.training_condition_ids))
+    norm = compute_norm_constants(select_runs(campaign, config.train_condition_ids))
     results = {}
 
     def run_cells(cells, tag):
@@ -294,10 +244,7 @@ def run_example2(config: ExperimentConfig, out: Path,
     """Noise robustness: one model trained on the noise-extended dataset."""
     out.mkdir(parents=True, exist_ok=True)
     campaign = campaign or get_campaign(config)
-    config = replace(config,
-                     training_condition_ids=list(config.training_condition_ids
-                                                 or EXAMPLE2_TRAINING_IDS))
-    runs = select_runs(campaign, config.training_condition_ids)
+    runs = select_runs(campaign, config.train_condition_ids)
     norm = compute_norm_constants(runs)
     n, m, w = config.n, config.m, config.w
     cell = train_cell(campaign, config, n, m, w, norm=norm)
@@ -324,7 +271,7 @@ def run_example3(config: ExperimentConfig, out: Path,
     """Motion-only prediction: LSTM and FC architecture sweeps."""
     out.mkdir(parents=True, exist_ok=True)
     campaign = campaign or get_campaign(config)
-    norm = compute_norm_constants(select_runs(campaign, config.training_condition_ids))
+    norm = compute_norm_constants(select_runs(campaign, config.train_condition_ids))
     results = {}
 
     def run_cells(cells, tag):

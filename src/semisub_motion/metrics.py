@@ -38,9 +38,6 @@ class BoxplotSummary:
     max: float
     mean: float
 
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.min, self.q1, self.median, self.q3, self.max)
-
 
 @dataclass
 class AccuracyResult:

@@ -41,9 +41,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .dataset import WINDOW_SPEC
+from .errors import (ANY, DomainError, NumericalError, at_least, one_of,
+                     read_document)
 
 CHECKPOINT_VERSION = 1
+# ``meta`` may hold any part of META_TABLE; forecasting needs all of it
+META_TABLE = {**WINDOW_SPEC, "seeds?": ANY}
+CHECKPOINT_TABLE = {
+    "architecture?": ANY, "param_count": at_least(1),
+    "meta?": {f"{key.rstrip('?')}?": spec for key, spec in META_TABLE.items()},
+    "lstm_layers": [dict.fromkeys(("W_input", "W_hidden", "b_input", "b_hidden"),
+                                  [ANY])],
+    "fc_layers": [{"weights": [ANY], "bias": [ANY],
+                   "activation": one_of("tanh", "identity")}],
+}
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -102,8 +114,8 @@ class FcLayerParams:
     def __post_init__(self):
         if self.activation not in ("tanh", "identity"):
             raise DomainError(f"unknown activation {self.activation!r}")
-        if self.bias.shape != (self.weights.shape[0],):
-            raise DomainError("bias shape inconsistent with weights")
+        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
+            raise DomainError("weights not a matrix or bias shape inconsistent with them")
 
     def parameters(self) -> list[np.ndarray]:
         return [self.weights, self.bias]
@@ -120,6 +132,12 @@ class Network:
     def __post_init__(self):
         if self.fc_layers and self.fc_layers[-1].activation != "identity":
             raise DomainError("final FC layer must be affine (identity activation)")
+        widths = ([l.hidden_size for l in self.lstm_layers]
+                  + [l.weights.shape[0] for l in self.fc_layers])
+        inputs = ([l.input_size for l in self.lstm_layers[1:]]
+                  + [l.weights.shape[1] for l in self.fc_layers])
+        if widths[:-1] != inputs:
+            raise DomainError(f"layer widths {widths} do not feed layer inputs {inputs}")
 
     @property
     def input_size(self) -> int:
@@ -392,32 +410,25 @@ def save_checkpoint(net: Network, path) -> None:
 
 
 def load_checkpoint(path) -> Network:
+    doc = read_document(path, CHECKPOINT_VERSION, CHECKPOINT_TABLE)
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DomainError(f"cannot read checkpoint {path}: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("meta", {}), dict):
-        raise DomainError(f"malformed checkpoint {path}: document or meta not an object")
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise DomainError(f"unsupported checkpoint version {doc.get('format_version')}")
-    try:
-        lstm_layers = [LstmLayerParams(
-            W_input=np.array(l["W_input"], dtype=np.float64),
-            W_hidden=np.array(l["W_hidden"], dtype=np.float64),
-            b_input=np.array(l["b_input"], dtype=np.float64),
-            b_hidden=np.array(l["b_hidden"], dtype=np.float64),
-        ) for l in doc["lstm_layers"]]
-        fc_layers = [FcLayerParams(
-            weights=np.array(l["weights"], dtype=np.float64),
-            bias=np.array(l["bias"], dtype=np.float64),
-            activation=l["activation"],
-        ) for l in doc["fc_layers"]]
-        declared = doc["param_count"]
-    except (KeyError, TypeError, ValueError) as exc:
+        lstm_layers = [LstmLayerParams(**{k: np.array(v, dtype=np.float64)
+                                          for k, v in l.items()})
+                       for l in doc["lstm_layers"]]
+        fc_layers = [FcLayerParams(np.array(l["weights"], dtype=np.float64),
+                                   np.array(l["bias"], dtype=np.float64),
+                                   l["activation"]) for l in doc["fc_layers"]]
+        net = Network(lstm_layers=lstm_layers, fc_layers=fc_layers,
+                      meta=doc.get("meta") or {})
+    except (TypeError, ValueError) as exc:
         raise DomainError(f"malformed checkpoint {path}: {exc!r}") from exc
-    net = Network(lstm_layers=lstm_layers, fc_layers=fc_layers,
-                  meta=doc.get("meta", {}))
-    if count_params(net) != declared:
-        raise DomainError(
-            f"checkpoint declares {declared} parameters, found {count_params(net)}")
+    if count_params(net) != doc["param_count"]:
+        raise DomainError(f"checkpoint declares {doc['param_count']} parameters, "
+                          f"found {count_params(net)}")
+    if not all(np.all(np.isfinite(p)) for p in net.parameters()):
+        raise DomainError(f"checkpoint {path} has a non-finite parameter")
+    for key, size in (("r", net.input_size), ("m", net.output_size)):
+        if net.meta.get(key, size) != size:
+            raise DomainError(f"checkpoint {path}: meta {key} is {net.meta[key]}, "
+                              f"but the network's size is {size}")
     return net

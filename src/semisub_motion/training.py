@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import WindowedDataset
-from .errors import ConfigurationError, DomainError, NumericalError
+from .errors import (POSITIVE, ConfigurationError, DomainError, NumericalError,
+                     Rule, at_least, check)
 from .network import Network, backward, forward, mse_loss
 
 
@@ -54,6 +55,7 @@ class TrainingConfig:
     """Optimization hyperparameters; defaults follow the reference protocol.
 
     ``ExperimentConfig`` inherits these fields, so ``train`` takes one as is.
+    ``TABLE`` gives each field's type and range (see ``errors.check``).
     """
 
     initial_lr: float = 0.01
@@ -64,11 +66,13 @@ class TrainingConfig:
     max_epochs: int = 150
     shuffle_seed: int = 0
 
+    TABLE = {"initial_lr": POSITIVE, "warm_epochs": at_least(0),
+             "decay_factor": Rule("float", "in (0, 1]", lambda v: 0 < v <= 1),
+             "decay_every": at_least(1), "batch_size": at_least(1),
+             "max_epochs": at_least(0), "shuffle_seed": at_least(0)}
+
     def __post_init__(self):
-        if not 0 < self.initial_lr < np.inf or self.batch_size < 1 or self.max_epochs < 0:
-            raise ConfigurationError("invalid training configuration")
-        if self.warm_epochs < 0 or self.decay_every < 1 or not 0 < self.decay_factor <= 1:
-            raise ConfigurationError("invalid schedule configuration")
+        check(vars(self), self.TABLE, ConfigurationError)
 
 
 def lr_schedule(epoch: int, config: TrainingConfig) -> float:

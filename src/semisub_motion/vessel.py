@@ -14,13 +14,15 @@ and bit-reproducible.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.signal import cont2discrete, lfilter
 
-from .errors import ConfigurationError, DomainError
+from .errors import (ANY, POSITIVE, STR, ConfigurationError, DomainError, Rule,
+                     at_least, check, one_of, read_document)
 from .timeseries import TimeSeries
 from .waves import SpectrumParams, synthesize_wave
 
@@ -56,7 +58,7 @@ class ResponseParams:
 
 @dataclass(frozen=True)
 class WaveCondition:
-    """One row of the wave campaign table."""
+    """One row of the wave campaign table; ``id`` names its CSV files."""
 
     id: str
     Hs: float
@@ -64,9 +66,19 @@ class WaveCondition:
     note: str = ""
     dataset_role: str = "training"  # "training" | "test"
 
+    TABLE = {"id": Rule("str", "a plain file-name stem",
+                        lambda v: re.fullmatch(r"[\w-]+", v) is not None),
+             "Hs": POSITIVE, "Tp": POSITIVE, "note": STR,
+             "dataset_role": one_of("training", "test")}
+
     def __post_init__(self):
-        if self.dataset_role not in ("training", "test"):
-            raise DomainError(f"bad dataset_role {self.dataset_role!r}")
+        check(vars(self), self.TABLE)
+
+
+def _check_unique_ids(conditions, error=ConfigurationError, where: str = "") -> None:
+    ids = [c.id for c in conditions]
+    if len(set(ids)) != len(ids):
+        raise error(f"{where}duplicate condition ids in {ids}")
 
 
 # Default campaign: 100-year and 1000-year cyclone sea states; WC2 is the
@@ -172,9 +184,7 @@ def generate_campaign(conditions=DEFAULT_CONDITIONS, base_seed: int = 0,
     seeds, reproducing the repeated-realization design of the campaign.
     """
     params = params or ResponseParams()
-    ids = [c.id for c in conditions]
-    if len(set(ids)) != len(ids):
-        raise ConfigurationError(f"duplicate condition ids in {ids}")
+    _check_unique_ids(conditions)
     runs = []
     for k, cond in enumerate(conditions):
         seed = condition_seed(base_seed, k)
@@ -188,6 +198,9 @@ def generate_campaign(conditions=DEFAULT_CONDITIONS, base_seed: int = 0,
 
 
 CAMPAIGN_VERSION = 1
+CAMPAIGN_TABLE = {"response_params?": ANY, "runs": [{
+    "condition": WaveCondition.TABLE, "seed": at_least(0), "dt": POSITIVE,
+    "samples": at_least(2)}]}
 
 
 def save_campaign(runs: list[CampaignRun], directory,
@@ -214,26 +227,17 @@ def load_campaign(directory) -> list[CampaignRun]:
     """Read a ``save_campaign`` directory, checking each CSV against its manifest."""
     directory = Path(directory)
     path = directory / "manifest.json"
-    try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("format_version") != CAMPAIGN_VERSION:
-        raise DomainError(f"{path}: unsupported campaign format version")
-    try:
-        entries = [(WaveCondition(**e["condition"]), e["seed"], e["dt"], e["samples"])
-                   for e in manifest["runs"]]
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"{path}: malformed run entry: {exc!r}") from exc
     runs = []
-    for cond, seed, dt, samples in entries:
+    for e in read_document(path, CAMPAIGN_VERSION, CAMPAIGN_TABLE)["runs"]:
+        cond = WaveCondition(**e["condition"])
         series = {ch: TimeSeries.load_csv(directory / f"{cond.id}_{ch}.csv")
                   for ch in ("wave", "heave", "surge")}
         for ch, ts in series.items():
-            if not (ts.values.size == samples and isinstance(dt, (int, float))
-                    and np.isclose(ts.dt, dt, rtol=1e-9, atol=0.0)):
+            if not (ts.values.size == e["samples"]
+                    and np.isclose(ts.dt, e["dt"], rtol=1e-9, atol=0.0)):
                 raise DomainError(
                     f"{directory / f'{cond.id}_{ch}.csv'}: {ts.values.size} samples at "
-                    f"dt {ts.dt!r}, but the manifest declares {samples!r} at dt {dt!r}")
-        runs.append(CampaignRun(condition=cond, seed=seed, **series))
+                    f"dt {ts.dt!r}, not the manifest's {e['samples']!r} at {e['dt']!r}")
+        runs.append(CampaignRun(condition=cond, seed=e["seed"], **series))
+    _check_unique_ids([r.condition for r in runs], DomainError, f"{path}: ")
     return runs

@@ -1,4 +1,4 @@
-"""JONSWAP spectrum evaluation, irregular wave synthesis, spectral estimation.
+"""JONSWAP spectrum evaluation and irregular wave synthesis.
 
 The spectral density is
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import welch
 
 from .errors import ConfigurationError, DomainError
 from .timeseries import TimeSeries
@@ -65,25 +64,6 @@ class SpectrumParams:
     def calibrated(self) -> "SpectrumParams":
         """Copy with alpha fixed by the m0 = Hs^2/16 normalization."""
         return replace(self, alpha=calibrate_alpha(self))
-
-
-@dataclass
-class SpectrumEstimate:
-    """Averaged-periodogram estimate of S(omega)."""
-
-    frequencies: np.ndarray  # angular frequency grid, rad/s, strictly increasing
-    densities: np.ndarray    # m^2 s
-    segment_count: int
-
-    @property
-    def bin_width(self) -> float:
-        return float(self.frequencies[1] - self.frequencies[0])
-
-    def peak_frequency(self) -> float:
-        return float(self.frequencies[np.argmax(self.densities)])
-
-    def integral(self) -> float:
-        return float(np.trapezoid(self.densities, self.frequencies))
 
 
 def _density_shape(omega: np.ndarray, params: SpectrumParams) -> np.ndarray:
@@ -159,25 +139,3 @@ def synthesize_wave(params: SpectrumParams, duration: float, dt: float,
                                            + phases[:, None])).sum(axis=0)
     return TimeSeries(dt=dt, values=values, unit="m")
 
-
-def estimate_spectrum(series: TimeSeries, segment_length: int = 512) -> SpectrumEstimate:
-    """Welch estimate of S(omega): mean-removed, Hann window, 50% overlap.
-
-    Satisfies Parseval: the trapezoidal integral of the estimate matches the
-    sample variance to within the estimator bias (about 10%).
-    """
-    n = len(series)
-    if segment_length < 2 or n < 2 * segment_length:
-        raise DomainError(
-            f"series length {n} must be at least twice segment_length {segment_length}")
-    x = series.values - series.values.mean()
-    freqs, psd = welch(x, fs=1.0 / series.dt, window="hann",
-                       nperseg=segment_length, noverlap=segment_length // 2,
-                       detrend=False)
-    # one-sided density per Hz -> per rad/s
-    omega = 2.0 * np.pi * freqs
-    density = psd / (2.0 * np.pi)
-    step = segment_length // 2
-    segment_count = 1 + (n - segment_length) // step
-    return SpectrumEstimate(frequencies=omega, densities=density,
-                            segment_count=segment_count)

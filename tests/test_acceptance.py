@@ -17,8 +17,8 @@ from semisub_motion.metrics import accuracy, evaluate
 from semisub_motion.network import backward, count_params, init_network
 from semisub_motion.timeseries import TimeSeries
 from semisub_motion.vessel import DEFAULT_CONDITIONS, generate_campaign
-from semisub_motion.waves import (SpectrumParams, estimate_spectrum,
-                                  synthesize_wave)
+from semisub_motion.waves import SpectrumParams, synthesize_wave
+from support import estimate_spectrum
 
 DT = 0.775
 DURATION = 10800.0

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semisub_motion.cli import main
 from semisub_motion.dataset import (NormalizationConstants, build_pairs,
@@ -38,6 +42,14 @@ def workspace(tmp_path_factory):
                  "--campaign", str(root / "sim" / "campaign"),
                  "--output", str(root / "model")]) == 0
     return root, config
+
+
+def one_error_line(code, capsys) -> str:
+    """Assert exit code 1 with exactly one ``error:`` line on stderr; return it."""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error:")
+    return err[0]
 
 
 class TestPipeline:
@@ -219,14 +231,72 @@ class TestPipeline:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize("defect", [
+        lambda meta: meta.update(n="12"),
+        lambda meta: meta["norm"].pop("B"),
+        lambda meta: meta.update(channel="pitch"),
+        lambda meta: meta.update(m=7),
+    ], ids=["n_text", "norm_lacks_B", "channel_pitch", "m_not_output_size"])
+    def test_predict_rejects_bad_window_metadata(self, workspace, tmp_path, capsys,
+                                                 defect):
+        root, _ = workspace
+        doc = json.loads((root / "model" / "checkpoint.json").read_text())
+        defect(doc["meta"])
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(doc))
+        run_dir = root / "sim" / "campaign"
+        code = main(["predict", "--checkpoint", str(checkpoint),
+                     "--motion", str(run_dir / "WC2_heave.csv"),
+                     "--wave", str(run_dir / "WC2_wave.csv"),
+                     "--output", str(tmp_path / "forecast.csv")])
+        one_error_line(code, capsys)
+
+    @pytest.mark.parametrize("defect", [
+        lambda manifest: manifest["norm"].pop("B"),
+        lambda manifest: manifest.update(channel="pitch"),
+        lambda manifest: manifest.update(run_ids=5),
+        lambda manifest: manifest.update(dt="x"),
+    ], ids=["norm_lacks_B", "channel_pitch", "run_ids_int", "dt_text"])
+    def test_evaluate_rejects_bad_window_spec(self, workspace, tmp_path, capsys,
+                                              defect):
+        root, _ = workspace
+        src = root / "data" / "test.csv"
+        manifest = json.loads(src.with_suffix(".csv.manifest.json").read_text())
+        defect(manifest)
+        dataset = tmp_path / "test.csv"
+        shutil.copy(src, dataset)
+        dataset.with_suffix(".csv.manifest.json").write_text(json.dumps(manifest))
+        code = main(["evaluate",
+                     "--checkpoint", str(root / "model" / "checkpoint.json"),
+                     "--dataset", str(dataset), "--output", str(tmp_path / "eval")])
+        one_error_line(code, capsys)
+
+    def test_evaluate_rejects_dataset_of_another_window(self, workspace, tmp_path,
+                                                        capsys):
+        root, config = workspace
+        assert main(["build-dataset", "--config", str(config), "--set", "n=20",
+                     "--campaign", str(root / "sim" / "campaign"),
+                     "--output", str(tmp_path)]) == 0
+        code = main(["evaluate",
+                     "--checkpoint", str(root / "model" / "checkpoint.json"),
+                     "--dataset", str(tmp_path / "test.csv"),
+                     "--output", str(tmp_path / "eval")])
+        assert one_error_line(code, capsys).endswith(" in n")
+        assert not (tmp_path / "eval").exists()
+
     def test_example2_trains_on_every_noise_level(self, workspace, tmp_path):
         root, config = workspace
         campaign = str(root / "sim" / "campaign")
         for command in ("build-dataset", "train"):
             assert main([command, "--config", str(config), "--set", "example_id=2",
                          "--campaign", campaign, "--output", str(tmp_path)]) == 0
-        clean = load_dataset(root / "data" / "training.csv")
+        # example 2 trains on WC1/WC3/WC4 unless the config names other conditions
+        assert main(["build-dataset", "--config", str(config), "--set",
+                     'training_condition_ids=["WC1","WC3","WC4"]', "--campaign",
+                     campaign, "--output", str(tmp_path / "clean")]) == 0
+        clean = load_dataset(tmp_path / "clean" / "training.csv")
         noisy = load_dataset(tmp_path / "training.csv")
+        assert sorted(set(noisy.run_ids)) == ["WC1", "WC3", "WC4"]
         levels = TINY["noise_levels"]
         assert len(noisy) == len(clean) * len(levels)
         assert noisy.noise_level == max(levels)
@@ -276,6 +346,40 @@ class TestPipeline:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize("defect", [
+        lambda runs: runs[0].update(seed="x"),
+        lambda runs: runs[0]["condition"].update(Hs="x"),
+        lambda runs: runs[1]["condition"].update(id=runs[0]["condition"]["id"]),
+        lambda runs: runs[0]["condition"].update(id="../campaign/WC1"),
+    ], ids=["seed_text", "hs_text", "duplicate_id", "id_not_a_file_stem"])
+    def test_build_dataset_rejects_bad_campaign_run(self, workspace, tmp_path,
+                                                    capsys, defect):
+        root, config = workspace
+        campaign = tmp_path / "campaign"
+        shutil.copytree(root / "sim" / "campaign", campaign)
+        manifest = json.loads((campaign / "manifest.json").read_text())
+        defect(manifest["runs"])
+        (campaign / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["build-dataset", "--config", str(config), "--campaign",
+                     str(campaign), "--output", str(tmp_path / "data")])
+        one_error_line(code, capsys)
+
+    def test_build_dataset_rejects_missing_campaign(self, workspace, tmp_path,
+                                                    capsys):
+        _, config = workspace
+        code = main(["build-dataset", "--config", str(config), "--campaign",
+                     str(tmp_path / "no" / "such"), "--output", str(tmp_path / "data")])
+        assert "manifest.json" in one_error_line(code, capsys)
+        assert not (tmp_path / "data").exists()
+
+    def test_example2_train_matches_sweep(self, workspace, tmp_path):
+        _, config = workspace
+        args = ["--config", str(config), "--set", "example_id=2", "--set", "max_epochs=1"]
+        assert main(["sweep", *args, "--set", f"output_dir={tmp_path / 'runs'}"]) == 0
+        assert main(["train", *args, "--output", str(tmp_path / "model")]) == 0
+        swept = tmp_path / "runs" / "example2_heave" / "checkpoint.json"
+        assert (tmp_path / "model" / "checkpoint.json").read_bytes() == swept.read_bytes()
+
     def test_sweep_and_report(self, workspace):
         root, config = workspace
         assert main(["sweep", "--config", str(config),
@@ -285,6 +389,87 @@ class TestPipeline:
         assert main(["report", "--output-dir", str(root / "runs")]) == 0
         report = (root / "runs" / "report.csv").read_text().strip().splitlines()
         assert len(report) >= 2
+
+
+# Ways to spoil one value of a document: delete its key, or replace it
+MUTATIONS = {
+    "delete": None, "text": lambda v: "x", "bool": lambda v: True,
+    "null": lambda v: None, "nan": lambda v: float("nan"),
+    "negative": lambda v: -1, "in_list": lambda v: [v], "in_object": lambda v: {"x": v},
+}
+
+
+def key_paths(doc, path=()):
+    """The path of every object key in ``doc``, and of the first entry of
+    every list, depth first."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = [(0, doc[0])] if isinstance(doc, list) and doc else []
+    for key, value in items:
+        yield path + (key,)
+        yield from key_paths(value, path + (key,))
+
+
+def mutated(doc, path, mutation):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if mutation == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = MUTATIONS[mutation](parent[path[-1]])
+    return doc
+
+
+class TestBoundaryFuzz:
+    """Every key of every document the CLI reads, spoiled one at a time,
+    ends in exit 0 or in exit 1 with at most one stderr line."""
+
+    @settings(max_examples=6, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_spoiled_documents_end_in_one_line(self, workspace, data):
+        root, config = workspace
+        fuzz = root / "fuzz"
+        if not fuzz.exists():
+            shutil.copytree(root / "sim" / "campaign", fuzz / "campaign")
+            shutil.copy(root / "data" / "test.csv", fuzz / "test.csv")
+        model, run_dir = root / "model" / "checkpoint.json", root / "sim" / "campaign"
+        out = ["--output", str(fuzz / "out")]
+        documents = {  # source, fuzzed copy, the commands that read it
+            "campaign": (run_dir / "manifest.json", fuzz / "campaign" / "manifest.json",
+                         [["build-dataset", "--config", str(config),
+                           "--campaign", str(fuzz / "campaign"), *out]]),
+            "dataset": (root / "data" / "test.csv.manifest.json",
+                        fuzz / "test.csv.manifest.json",
+                        [["evaluate", "--checkpoint", str(model),
+                          "--dataset", str(fuzz / "test.csv"), *out]]),
+            "checkpoint": (model, fuzz / "checkpoint.json",
+                           [["evaluate", "--checkpoint", str(fuzz / "checkpoint.json"),
+                             "--dataset", str(root / "data" / "test.csv"), *out],
+                            ["predict", "--checkpoint", str(fuzz / "checkpoint.json"),
+                             "--motion", str(run_dir / "WC2_heave.csv"),
+                             "--wave", str(run_dir / "WC2_wave.csv"),
+                             "--output", str(fuzz / "forecast.csv")]]),
+            "config": (config, fuzz / "config.json",
+                       [["build-dataset", "--config", str(fuzz / "config.json"),
+                         "--campaign", str(run_dir), *out]]),
+        }
+        for name, (source, copy, commands) in documents.items():
+            doc = json.loads(source.read_text())
+            for path in key_paths(doc):
+                mutation = data.draw(st.sampled_from(sorted(MUTATIONS)),
+                                     label=f"{name} {path}")
+                copy.write_text(json.dumps(mutated(doc, path, mutation)))
+                for command in commands:
+                    stderr = io.StringIO()
+                    with contextlib.redirect_stderr(stderr), \
+                            contextlib.redirect_stdout(io.StringIO()):
+                        code = main(command)
+                    assert code in (0, 1), (command, path, mutation)
+                    assert len(stderr.getvalue().splitlines()) <= 1, stderr.getvalue()
+            copy.write_text(source.read_text())
 
 
 class TestErrors:

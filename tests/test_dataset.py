@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semisub_motion.dataset import (REFERENCE_NORM_CM,
-                                    add_noise, build_pairs,
-                                    compute_norm_constants, deregularize,
+from semisub_motion.dataset import (add_noise, build_pairs,
+                                    compute_norm_constants,
                                     load_dataset, noise_seed, pair_count,
                                     regularize, role_dataset, save_dataset,
                                     split_campaign)
@@ -13,6 +12,7 @@ from semisub_motion.errors import (ConfigurationError, DegenerateDataError,
                                    DomainError)
 from semisub_motion.timeseries import TimeSeries
 from semisub_motion.vessel import generate_campaign
+from support import REFERENCE_NORM_CM, deregularize
 
 
 def series(values, dt=1.0):

@@ -12,6 +12,7 @@ from semisub_motion.experiments import (EXAMPLE2_TRAINING_IDS,
 from semisub_motion.metrics import SUMMARY_HEADER
 from semisub_motion.training import EpochRecord, TrainingConfig
 from semisub_motion.vessel import generate_campaign
+from support import overfit_gap
 
 
 def tiny_config(**overrides):
@@ -150,7 +151,7 @@ class TestTrainCell:
         assert cell.net.meta["n"] == config.n
         assert cell.net.meta["r"] == 2
         assert cell.test_report.dataset_role == "test"
-        assert np.isfinite(cell.overfit_gap)
+        assert np.isfinite(overfit_gap(cell))
 
     def test_motion_only_cell_single_input(self, campaign):
         config = tiny_config(example_id=3)

@@ -9,6 +9,7 @@ from semisub_motion.metrics import (accuracy, boxplot_stats, evaluate,
                                     save_summaries, save_window_accuracies,
                                     summary_row)
 from semisub_motion.network import init_network
+from support import as_tuple
 
 
 def window(seed=0, m=20):
@@ -70,12 +71,12 @@ class TestAccuracy:
 class TestBoxplotStats:
     def test_one_to_five(self):
         s = boxplot_stats([1, 2, 3, 4, 5])
-        assert s.as_tuple() == (1, 2, 3, 4, 5)
+        assert as_tuple(s) == (1, 2, 3, 4, 5)
         assert s.mean == 3.0
 
     def test_single_value(self):
         s = boxplot_stats([0.7])
-        assert s.as_tuple() == (0.7, 0.7, 0.7, 0.7, 0.7)
+        assert as_tuple(s) == (0.7, 0.7, 0.7, 0.7, 0.7)
 
     def test_linear_interpolation_convention(self):
         s = boxplot_stats([0.0, 10.0])
@@ -138,7 +139,7 @@ class TestEvaluate:
         perm = rng.permutation(30)
         shuffled = evaluate(net, make_dataset(X[perm], Y[perm], m))
         a, b = base.accuracy.summary, shuffled.accuracy.summary
-        assert a.as_tuple() == b.as_tuple()
+        assert as_tuple(a) == as_tuple(b)
         # summation order of the mean may differ in the last bit
         assert a.mean == pytest.approx(b.mean, rel=1e-14)
 

@@ -308,6 +308,28 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert "\n" not in str(info.value)
 
+    @pytest.mark.parametrize("defect", [
+        lambda doc: doc["lstm_layers"][0]["W_input"][0].__setitem__(0, float("nan")),
+        lambda doc: [row.pop() for row in doc["fc_layers"][0]["weights"]],
+        lambda doc: doc["meta"].update(r=1),
+        lambda doc: doc["meta"].update(m=3),
+    ], ids=["nan_weight", "layers_do_not_chain", "meta_r", "meta_m"])
+    def test_inconsistent_checkpoint_rejected(self, tmp_path, defect):
+        import json
+        net = init_network(2, [3], 1, 4, 2, seed=0)
+        net.meta = {"r": 2, "m": 2}
+        path = tmp_path / "net.json"
+        save_checkpoint(net, path)
+        doc = json.loads(path.read_text())
+        defect(doc)
+        doc["param_count"] = sum(np.size(v) for layers in ("lstm_layers", "fc_layers")
+                                 for layer in doc[layers] for k, v in layer.items()
+                                 if k != "activation")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DomainError) as info:
+            load_checkpoint(path)
+        assert "\n" not in str(info.value)
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "trunc.json"
         path.write_text('{"format_version": 1, "lstm')

@@ -7,7 +7,8 @@ from semisub_motion.vessel import (DEFAULT_CONDITIONS, ResponseParams,
                                    WaveCondition, generate_campaign,
                                    heave_response, load_campaign,
                                    save_campaign, surge_response)
-from semisub_motion.waves import SpectrumParams, estimate_spectrum, synthesize_wave
+from semisub_motion.waves import SpectrumParams, synthesize_wave
+from support import estimate_spectrum
 
 DT = 0.775
 

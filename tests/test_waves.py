@@ -5,8 +5,8 @@ from scipy.integrate import quad
 from semisub_motion.errors import ConfigurationError, DomainError
 from semisub_motion.timeseries import TimeSeries
 from semisub_motion.waves import (SpectrumParams, calibrate_alpha,
-                                  estimate_spectrum, jonswap_density,
-                                  synthesize_wave)
+                                  jonswap_density, synthesize_wave)
+from support import estimate_spectrum
 
 WC_TABLE = [(13.4, 14.2), (13.4, 14.7), (13.4, 15.7),
             (16.9, 14.4), (16.9, 15.9), (16.9, 16.9)]
