@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import (NormalizationConstants, input_windows, load_dataset,
-                      regularize, save_dataset)
+                      regularize, save_dataset, window_spec)
 from .errors import SemisubError, check
 from .experiments import (ExperimentConfig, aggregate_reports, cell_datasets,
                           get_campaign, run_experiment, save_history, train_cell)
@@ -25,7 +25,7 @@ from .metrics import evaluate, save_summaries, save_window_accuracies
 from .network import (META_TABLE, count_params, forward, load_checkpoint,
                       save_checkpoint)
 from .timeseries import TimeSeries
-from .vessel import ResponseParams, save_campaign
+from .vessel import save_campaign
 
 
 def _parse_value(raw: str):
@@ -59,7 +59,7 @@ def cmd_simulate(args) -> int:
     config = _load_config(args)
     out = Path(args.output or config.output_dir) / "campaign"
     campaign = get_campaign(config)
-    save_campaign(campaign, out, params=ResponseParams())
+    save_campaign(campaign, out)
     print(f"wrote {len(campaign)}-run campaign to {out}")
     return 0
 
@@ -136,11 +136,9 @@ def cmd_evaluate(args) -> int:
     net = load_checkpoint(args.checkpoint)
     check({"meta": net.meta}, {"meta": META_TABLE}, where=f"{args.checkpoint}: ")
     ds = load_dataset(args.dataset)
-    window = dict(channel=ds.channel, n=ds.n, m=ds.m, w=ds.w, r=ds.r,
-                  norm=ds.norm.to_dict())
-    differ = [k for k in window if window[k] != net.meta[k]]
-    if not np.isclose(ds.dt, net.meta["dt"], rtol=1e-9, atol=0.0):
-        differ.append("dt")
+    differ = [k for k, v in window_spec(ds).items()
+              if not (np.isclose(v, net.meta[k], rtol=1e-9, atol=0.0) if k == "dt"
+                      else v == net.meta[k])]
     if differ:
         raise SemisubError(f"{args.dataset} differs from {args.checkpoint} in "
                            f"{', '.join(differ)}")

@@ -28,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (FLOAT, POSITIVE, STR, ConfigurationError,
                      DegenerateDataError, DomainError, at_least, one_of,
                      read_document)
-from .timeseries import TimeSeries
+from .timeseries import TimeSeries, load_rows
 from .vessel import CampaignRun
 
 CHANNELS = ("wave", "heave", "surge")
@@ -127,6 +127,12 @@ class WindowedDataset:
 
     def __len__(self) -> int:
         return self.X.shape[0]
+
+
+def window_spec(ds: WindowedDataset) -> dict:
+    """The ``WINDOW_SPEC`` values of a dataset's windows, in that table's order."""
+    return {key: ds.norm.to_dict() if key == "norm" else getattr(ds, key)
+            for key in WINDOW_SPEC}
 
 
 def pair_count(L: int, n: int, m: int, w: int) -> int:
@@ -298,16 +304,13 @@ def load_dataset(path) -> WindowedDataset:
     path = Path(path)
     manifest = read_document(path.with_suffix(path.suffix + ".manifest.json"),
                              DATASET_VERSION, DATASET_TABLE)
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise DomainError(f"{path}: {exc}") from exc
+    data = load_rows(path)
     n, m, r = manifest["n"], manifest["m"], manifest["r"]
-    if data.shape[1] != 1 + n * r + m:
-        raise DomainError(f"{path}: column count does not match manifest")
     if data.shape[0] != manifest["samples"]:
         raise DomainError(f"{path}: {data.shape[0]} rows, but the manifest "
                           f"declares {manifest['samples']} samples")
+    if data.shape[1] != 1 + n * r + m:
+        raise DomainError(f"{path}: column count does not match manifest")
     if not np.all(np.isfinite(data)):
         raise DomainError(f"{path}: non-finite value")
     anchors = data[:, 0].astype(int)

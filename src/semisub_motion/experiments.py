@@ -25,15 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import (NormalizationConstants, WindowedDataset,
-                      compute_norm_constants, role_dataset, split_campaign)
+from .dataset import (NormalizationConstants, WindowedDataset, role_dataset,
+                      split_campaign, window_spec)
 from .errors import POSITIVE, STR, ConfigurationError, at_least, one_of
 from .metrics import SUMMARY_HEADER, EvaluationReport, evaluate, save_summaries
 from .network import Network, forward, init_network, save_checkpoint
 from .training import EpochRecord, TrainingConfig, train
 from .vessel import (DEFAULT_CONDITIONS, FULL_SCALE_DT, FULL_SCALE_DURATION,
-                     CampaignRun, ResponseParams, generate_campaign,
-                     load_campaign)
+                     CampaignRun, generate_campaign, load_campaign)
 
 EXAMPLE2_TRAINING_IDS = ("WC1", "WC3", "WC4")
 EXAMPLE2_TRAIN_NOISE = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
@@ -130,8 +129,7 @@ def get_campaign(config: ExperimentConfig, directory=None) -> list[CampaignRun]:
     if directory is not None:
         return load_campaign(directory)
     return generate_campaign(DEFAULT_CONDITIONS, base_seed=config.campaign_seed,
-                             params=ResponseParams(), duration=config.duration,
-                             dt=config.dt)
+                             duration=config.duration, dt=config.dt)
 
 
 def select_runs(campaign: list[CampaignRun],
@@ -152,29 +150,28 @@ class CellResult:
     history: list[EpochRecord]
     train_report: EvaluationReport
     test_report: EvaluationReport
+    norm: NormalizationConstants  # the training set's
 
 
 def cell_datasets(campaign: list[CampaignRun], config: ExperimentConfig, n: int,
-                  m: int, w: int, norm: NormalizationConstants | None = None,
-                  ) -> tuple[WindowedDataset, WindowedDataset]:
+                  m: int, w: int) -> tuple[WindowedDataset, WindowedDataset]:
     """One cell's training and test sets, with the inputs its example reads;
     a motion-only cell reads no wave, so its wave lag is 0 whatever ``w`` is."""
     return split_campaign(
         select_runs(campaign, config.train_condition_ids), config.channel,
         n, m, w if config.use_wave else 0, noise_levels=config.train_noise_levels,
-        use_wave=config.use_wave, norm=norm, noise_base_seed=config.noise_seed,
+        use_wave=config.use_wave, noise_base_seed=config.noise_seed,
         stride=config.anchor_stride)
 
 
 def train_cell(campaign: list[CampaignRun], config: ExperimentConfig,
-               n: int, m: int, w: int,
-               norm: NormalizationConstants | None = None) -> CellResult:
+               n: int, m: int, w: int) -> CellResult:
     """Build datasets, train one network, evaluate on train and test sets."""
-    training, test = cell_datasets(campaign, config, n, m, w, norm)
+    training, test = cell_datasets(campaign, config, n, m, w)
     net = init_network(training.r, config.lstm_hidden, config.fc_count,
                        config.fc_width, m, seed=config.init_seed)
-    net.meta = {"channel": config.channel, "n": n, "m": m, "w": training.w,
-                "r": training.r, "dt": config.dt, "norm": training.norm.to_dict(),
+    # the window spec, dt included, is the data's, not the config's
+    net.meta = {**window_spec(training),
                 "seeds": {"campaign": config.campaign_seed,
                           "init": config.init_seed,
                           "shuffle": config.shuffle_seed,
@@ -182,7 +179,7 @@ def train_cell(campaign: list[CampaignRun], config: ExperimentConfig,
     net, history = train(net, training, test, config)
     return CellResult(net=net, history=history,
                       train_report=evaluate(net, training),
-                      test_report=evaluate(net, test))
+                      test_report=evaluate(net, test), norm=training.norm)
 
 
 def save_history(history: list[EpochRecord], path) -> None:
@@ -207,17 +204,14 @@ def save_traces(net: Network, ds: WindowedDataset, path, count: int = 5) -> None
 
 
 def run_example1(config: ExperimentConfig, out: Path,
-                 campaign: list[CampaignRun] | None = None) -> dict:
+                 campaign: list[CampaignRun]) -> dict:
     """Wave-assisted prediction: sweeps over n, w, and m."""
-    out.mkdir(parents=True, exist_ok=True)
-    campaign = campaign or get_campaign(config)
-    norm = compute_norm_constants(select_runs(campaign, config.train_condition_ids))
     results = {}
 
     def run_cells(cells, tag):
         rows = []
         for (n, m, w) in cells:
-            cell = train_cell(campaign, config, n, m, w, norm=norm)
+            cell = train_cell(campaign, config, n, m, w)
             name = f"{tag}_n{n}_m{m}_w{w}"
             rows.append((name, cell.test_report))
             save_history(cell.history, out / f"{name}_history.csv")
@@ -233,29 +227,25 @@ def run_example1(config: ExperimentConfig, out: Path,
     headline = f"time_window_n{config.n}_m{config.m}_w{config.w}"
     if headline in results:
         test = role_dataset(campaign, "test", config.channel, config.n, config.m,
-                            config.w, [0.0], norm, noise_base_seed=config.noise_seed,
-                            stride=config.anchor_stride)
+                            config.w, [0.0], results[headline].norm,
+                            noise_base_seed=config.noise_seed, stride=config.anchor_stride)
         save_traces(results[headline].net, test, out / f"{headline}_traces.csv")
     return results
 
 
 def run_example2(config: ExperimentConfig, out: Path,
-                 campaign: list[CampaignRun] | None = None) -> dict:
+                 campaign: list[CampaignRun]) -> dict:
     """Noise robustness: one model trained on the noise-extended dataset."""
-    out.mkdir(parents=True, exist_ok=True)
-    campaign = campaign or get_campaign(config)
-    runs = select_runs(campaign, config.train_condition_ids)
-    norm = compute_norm_constants(runs)
     n, m, w = config.n, config.m, config.w
-    cell = train_cell(campaign, config, n, m, w, norm=norm)
+    cell = train_cell(campaign, config, n, m, w)
     save_history(cell.history, out / "history.csv")
     save_checkpoint(cell.net, out / "checkpoint.json")
 
     rows = []
     results = {"model": cell}
     for level in config.test_noise_levels:
-        test = role_dataset(runs, "test", config.channel, n, m, w, [level],
-                            norm, noise_base_seed=config.noise_seed,
+        test = role_dataset(campaign, "test", config.channel, n, m, w, [level],
+                            cell.norm, noise_base_seed=config.noise_seed,
                             stride=config.anchor_stride)
         report = evaluate(cell.net, test)
         name = f"test_noise_{level}"
@@ -267,17 +257,14 @@ def run_example2(config: ExperimentConfig, out: Path,
 
 
 def run_example3(config: ExperimentConfig, out: Path,
-                 campaign: list[CampaignRun] | None = None) -> dict:
+                 campaign: list[CampaignRun]) -> dict:
     """Motion-only prediction: LSTM and FC architecture sweeps."""
-    out.mkdir(parents=True, exist_ok=True)
-    campaign = campaign or get_campaign(config)
-    norm = compute_norm_constants(select_runs(campaign, config.train_condition_ids))
     results = {}
 
     def run_cells(cells, tag):
         rows = []
         for name, cell_config in cells:
-            cell = train_cell(campaign, cell_config, config.n, config.m, 0, norm=norm)
+            cell = train_cell(campaign, cell_config, config.n, config.m, 0)
             rows += [(name + "_test", cell.test_report),
                      (name + "_train", cell.train_report)]
             results[name] = cell
@@ -302,7 +289,7 @@ def run_experiment(config: ExperimentConfig,
     (out / "config.json").write_text(config.to_json())
     started = time.time()
     runner = {1: run_example1, 2: run_example2, 3: run_example3}[config.example_id]
-    results = runner(config, out, campaign)
+    results = runner(config, out, campaign or get_campaign(config))
     (out / "run.log").write_text(
         f"example {config.example_id} channel {config.channel}\n"
         f"elapsed_s {time.time() - started:.1f}\n"

@@ -54,7 +54,6 @@ class EvaluationReport:
     """One evaluated dataset: accuracies plus identifying metadata."""
 
     accuracy: AccuracyResult
-    dataset_role: str
     channel: str
     n: int
     m: int
@@ -123,8 +122,7 @@ def evaluate(net: Network, ds: WindowedDataset, chunk: int = 4096) -> Evaluation
         accuracy=AccuracyResult(per_window=per_window, anchors=ds.anchors[kept],
                                 summary=boxplot_stats(per_window),
                                 excluded_fraction=int((~kept).sum()) / len(ds)),
-        dataset_role=ds.role, channel=ds.channel, n=ds.n, m=ds.m, w=ds.w,
-        noise_level=ds.noise_level)
+        channel=ds.channel, n=ds.n, m=ds.m, w=ds.w, noise_level=ds.noise_level)
 
 
 def save_window_accuracies(result: AccuracyResult, path) -> None:

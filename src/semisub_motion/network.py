@@ -10,9 +10,10 @@ The LSTM cell follows the standard gate recurrences
     h_t = o_t * tanh(c_t)
 
 with the double-bias convention (separate input and hidden bias vectors per
-gate).  Gate weights are stored stacked in blocks of H in the order
-(i, f, g, o).  The last hidden state of the last LSTM layer feeds a stack of
-tanh fully-connected layers and an affine output layer.
+gate).  The state starts at zero: h_0 = c_0 = 0 for every sequence.  Gate
+weights are stored stacked in blocks of H in the order (i, f, g, o).  The
+last hidden state of the last LSTM layer feeds a stack of tanh
+fully-connected layers and an affine output layer.
 
 The sigmoid is evaluated as 0.5 * (1 + tanh(x / 2)), which needs no masks
 and cannot overflow, so all four stacked gates of a step are activated by
@@ -202,26 +203,18 @@ def init_network(input_size: int, hidden_sizes: list[int], fc_count: int,
 
 
 def lstm_forward(layer: LstmLayerParams, inputs: np.ndarray,
-                 initial_state: tuple[np.ndarray, np.ndarray] | None = None,
-                 cache: dict | None = None):
-    """Run the gate recurrences over a batch of sequences.
+                 cache: dict | None = None) -> np.ndarray:
+    """Run the gate recurrences over a batch of sequences from h = c = 0.
 
-    ``inputs`` is (B, n, input_size); returns (hidden sequence (B, n, H),
-    (h_n, c_n)).  When ``cache`` is a dict it is filled with the
-    intermediates needed for BPTT.
+    ``inputs`` is (B, n, input_size); returns the hidden sequence (B, n, H)
+    and fills ``cache``, when given, with the intermediates needed for BPTT.
     """
-    if inputs.ndim == 2:  # single sequence convenience
-        hs, state = lstm_forward(layer, inputs[None], initial_state, cache)
-        return hs[0], (state[0][0], state[1][0])
     B, n, r = inputs.shape
     H = layer.hidden_size
     if r != layer.input_size:
         raise DomainError(f"input feature count {r} != layer input size {layer.input_size}")
-    if initial_state is None:
-        h = np.zeros((B, H))
-        c = np.zeros((B, H))
-    else:
-        h, c = (np.broadcast_to(s, (B, H)).copy() for s in initial_state)
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
     keep = cache is not None
     # time-major pre-activations; the loop turns each step into its gates
     gates = inputs.transpose(1, 0, 2) @ layer.W_input.T  # (n, B, 4H)
@@ -247,7 +240,7 @@ def lstm_forward(layer: LstmLayerParams, inputs: np.ndarray,
     hs = hs.transpose(1, 0, 2)
     if keep:
         cache.update(inputs=inputs, hs=hs, gates=gates, c=c_seq, tanh_c=tanh_c)
-    return hs, (h, c)
+    return hs
 
 
 def _lstm_backward(layer: LstmLayerParams, cache: dict,
@@ -301,7 +294,7 @@ def forward(net: Network, X: np.ndarray, caches: list | None = None) -> np.ndarr
                           f"{net.input_size}")
     for layer in net.lstm_layers:
         cache = {} if caches is not None else None
-        x, _ = lstm_forward(layer, x, cache=cache)
+        x = lstm_forward(layer, x, cache=cache)
         if caches is not None:
             caches.append(cache)
     a = x[:, -1]  # last hidden state of the last LSTM layer

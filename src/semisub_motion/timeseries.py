@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,12 +16,11 @@ class TimeSeries:
     """A uniformly sampled scalar signal (wave elevation, heave, surge...).
 
     ``values`` are stored as a float64 array; ``dt`` is the sample
-    interval in seconds, ``unit`` a free-form label such as ``"m"``.
+    interval in seconds.
     """
 
     dt: float
     values: np.ndarray
-    unit: str = "m"
     start_time: float = 0.0
 
     def __post_init__(self):
@@ -37,14 +37,9 @@ class TimeSeries:
     def times(self) -> np.ndarray:
         return self.start_time + self.dt * np.arange(self.values.size)
 
-    @property
-    def duration(self) -> float:
-        return self.dt * (self.values.size - 1)
-
     def with_values(self, values: np.ndarray) -> "TimeSeries":
         """Copy of this series with the same sampling but new samples."""
-        return TimeSeries(dt=self.dt, values=np.asarray(values, dtype=np.float64),
-                          unit=self.unit, start_time=self.start_time)
+        return TimeSeries(dt=self.dt, values=values, start_time=self.start_time)
 
     def save_csv(self, path) -> None:
         path = Path(path)
@@ -54,12 +49,9 @@ class TimeSeries:
                 f.write(f"{float(t)!r},{float(v)!r}\n")
 
     @classmethod
-    def load_csv(cls, path, unit: str = "m") -> "TimeSeries":
-        try:
-            data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64)
-        except ValueError as exc:
-            raise DomainError(f"{path}: {exc}") from exc
-        if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] != 2:
+    def load_csv(cls, path) -> "TimeSeries":
+        data = load_rows(path)
+        if data.shape[0] < 2 or data.shape[1] != 2:
             raise DomainError(f"{path}: expected two columns and at least two rows")
         if not np.all(np.isfinite(data)):
             raise DomainError(f"{path}: non-finite value")
@@ -68,4 +60,14 @@ class TimeSeries:
         dt = float(steps[0])
         if not np.allclose(steps, dt, rtol=1e-9, atol=1e-9):
             raise DomainError(f"{path}: non-uniform sampling")
-        return cls(dt=dt, values=v, unit=unit, start_time=float(t[0]))
+        return cls(dt=dt, values=v, start_time=float(t[0]))
+
+
+def load_rows(path) -> np.ndarray:
+    """The data rows of a CSV as a 2-D array; a header-only file has none."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            return np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            raise DomainError(f"{path}: {exc}") from exc

@@ -133,49 +133,38 @@ def _check_dt(wave: TimeSeries, natural_period: float) -> None:
             f"dt={wave.dt} too coarse for natural period {natural_period} s")
 
 
-def heave_response(wave: TimeSeries, params: ResponseParams | None = None) -> TimeSeries:
+def heave_response(wave: TimeSeries, params: ResponseParams = ResponseParams()) -> TimeSeries:
     """Heave as a linear single-DOF oscillator driven by the wave elevation."""
-    params = params or ResponseParams()
     _check_dt(wave, params.heave_natural_period)
     out = _sdof_filter(wave.values, wave.dt, params.heave_natural_period,
                        params.heave_damping_ratio, params.heave_gain)
-    return TimeSeries(dt=wave.dt, values=out, unit=wave.unit,
-                      start_time=wave.start_time)
+    return wave.with_values(out)
 
 
-def wave_envelope(wave: TimeSeries, params: ResponseParams | None = None) -> np.ndarray:
+def wave_envelope(wave: TimeSeries, params: ResponseParams = ResponseParams()) -> np.ndarray:
     """Slowly varying amplitude envelope from a low-passed squared elevation."""
-    params = params or ResponseParams()
     cutoff = 3.0 * 2.0 * np.pi / params.surge_natural_period
     slow = _lowpass(wave.values**2, wave.dt, cutoff)
     return np.sqrt(2.0 * np.clip(slow, 0.0, None))
 
 
-def surge_response(wave: TimeSeries, params: ResponseParams | None = None) -> TimeSeries:
+def surge_response(wave: TimeSeries, params: ResponseParams = ResponseParams()) -> TimeSeries:
     """Surge: scaled wave-frequency part plus slow-drift oscillator.
 
     The drift oscillator is forced by drift_coefficient times the squared
     wave envelope; for a regular wave the forcing is constant and yields a
     static offset.
     """
-    params = params or ResponseParams()
     _check_dt(wave, params.surge_natural_period)
     env = wave_envelope(wave, params)
     forcing = params.drift_coefficient * env**2
     drift = _sdof_filter(forcing, wave.dt, params.surge_natural_period,
                          params.surge_damping_ratio, 1.0)
-    out = params.surge_wf_gain * wave.values + drift
-    return TimeSeries(dt=wave.dt, values=out, unit=wave.unit,
-                      start_time=wave.start_time)
-
-
-def condition_seed(base_seed: int, index: int) -> int:
-    """Deterministic per-condition wave seed."""
-    return base_seed * 1000 + index
+    return wave.with_values(params.surge_wf_gain * wave.values + drift)
 
 
 def generate_campaign(conditions=DEFAULT_CONDITIONS, base_seed: int = 0,
-                      params: ResponseParams | None = None,
+                      params: ResponseParams = ResponseParams(),
                       duration: float = FULL_SCALE_DURATION,
                       dt: float = FULL_SCALE_DT) -> list[CampaignRun]:
     """Simulate every condition; deterministic per base_seed.
@@ -183,11 +172,10 @@ def generate_campaign(conditions=DEFAULT_CONDITIONS, base_seed: int = 0,
     "Seed 1"/"Seed 2" condition pairs share (Hs, Tp) but get distinct wave
     seeds, reproducing the repeated-realization design of the campaign.
     """
-    params = params or ResponseParams()
     _check_unique_ids(conditions)
     runs = []
     for k, cond in enumerate(conditions):
-        seed = condition_seed(base_seed, k)
+        seed = base_seed * 1000 + k
         spectrum = SpectrumParams(Hs=cond.Hs, Tp=cond.Tp).calibrated()
         wave = synthesize_wave(spectrum, duration, dt, seed)
         runs.append(CampaignRun(condition=cond, wave=wave,
@@ -204,13 +192,12 @@ CAMPAIGN_TABLE = {"response_params?": ANY, "runs": [{
 
 
 def save_campaign(runs: list[CampaignRun], directory,
-                  params: ResponseParams | None = None) -> None:
+                  params: ResponseParams = ResponseParams()) -> None:
     """One CSV per channel per run plus a JSON manifest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    manifest = {"format_version": CAMPAIGN_VERSION, "runs": []}
-    if params is not None:
-        manifest["response_params"] = asdict(params)
+    manifest = {"format_version": CAMPAIGN_VERSION, "runs": [],
+                "response_params": asdict(params)}
     for run in runs:
         for channel in ("wave", "heave", "surge"):
             run.channel(channel).save_csv(directory / f"{run.condition.id}_{channel}.csv")

@@ -126,7 +126,7 @@ def synthesize_wave(params: SpectrumParams, duration: float, dt: float,
     n_samples = int(round(duration / dt))
     t = dt * np.arange(n_samples)
     if params.Hs == 0:
-        return TimeSeries(dt=dt, values=np.zeros(n_samples), unit="m")
+        return TimeSeries(dt=dt, values=np.zeros(n_samples))
 
     calibrated = params if params.alpha is not None else params.calibrated()
     edges = np.linspace(SYNTHESIS_BAND[0] * wp, omega_max, bin_count + 1)
@@ -137,5 +137,5 @@ def synthesize_wave(params: SpectrumParams, duration: float, dt: float,
     amplitudes = np.sqrt(2.0 * jonswap_density(omegas, calibrated) * d_omega)
     values = (amplitudes[:, None] * np.cos(omegas[:, None] * t[None, :]
                                            + phases[:, None])).sum(axis=0)
-    return TimeSeries(dt=dt, values=values, unit="m")
+    return TimeSeries(dt=dt, values=values)
 

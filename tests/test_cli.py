@@ -284,6 +284,51 @@ class TestPipeline:
         assert one_error_line(code, capsys).endswith(" in n")
         assert not (tmp_path / "eval").exists()
 
+    def test_evaluate_rejects_header_only_dataset(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        src = root / "data" / "test.csv"
+        dataset = tmp_path / "test.csv"
+        dataset.write_text(src.read_text().splitlines()[0] + "\n")
+        shutil.copy(src.with_suffix(".csv.manifest.json"),
+                    dataset.with_suffix(".csv.manifest.json"))
+        code = main(["evaluate",
+                     "--checkpoint", str(root / "model" / "checkpoint.json"),
+                     "--dataset", str(dataset), "--output", str(tmp_path / "eval")])
+        assert "0 rows, but the manifest declares" in one_error_line(code, capsys)
+
+    def test_predict_rejects_header_only_motion(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        motion = tmp_path / "motion.csv"
+        motion.write_text("time_s,value\n")
+        code = main(["predict",
+                     "--checkpoint", str(root / "model" / "checkpoint.json"),
+                     "--motion", str(motion),
+                     "--wave", str(root / "sim" / "campaign" / "WC2_wave.csv"),
+                     "--output", str(tmp_path / "forecast.csv")])
+        assert "at least two rows" in one_error_line(code, capsys)
+
+    def test_checkpoint_window_spec_comes_from_the_data(self, workspace, tmp_path,
+                                                        capsys):
+        """A campaign simulated at dt 0.5 and trained with the default-dt config
+        gives a checkpoint at dt 0.5 that accepts that campaign's data."""
+        _, config = workspace
+        assert main(["simulate", "--config", str(config), "--set", "dt=0.5",
+                     "--output", str(tmp_path)]) == 0
+        run_dir = tmp_path / "campaign"
+        out = tmp_path / "model"
+        for command in ("build-dataset", "train"):
+            assert main([command, "--config", str(config), "--campaign", str(run_dir),
+                         "--output", str(out)]) == 0
+        assert json.loads((out / "checkpoint.json").read_text())["meta"]["dt"] == 0.5
+        assert main(["predict", "--checkpoint", str(out / "checkpoint.json"),
+                     "--motion", str(run_dir / "WC2_heave.csv"),
+                     "--wave", str(run_dir / "WC2_wave.csv"),
+                     "--output", str(tmp_path / "forecast.csv")]) == 0
+        assert main(["evaluate", "--checkpoint", str(out / "checkpoint.json"),
+                     "--dataset", str(out / "test.csv"),
+                     "--output", str(tmp_path / "eval")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_example2_trains_on_every_noise_level(self, workspace, tmp_path):
         root, config = workspace
         campaign = str(root / "sim" / "campaign")

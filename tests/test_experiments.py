@@ -150,7 +150,6 @@ class TestTrainCell:
         assert len(cell.history) == config.max_epochs
         assert cell.net.meta["n"] == config.n
         assert cell.net.meta["r"] == 2
-        assert cell.test_report.dataset_role == "test"
         assert np.isfinite(overfit_gap(cell))
 
     def test_motion_only_cell_single_input(self, campaign):
@@ -216,6 +215,17 @@ class TestRunners:
         assert (out / "checkpoint.json").exists()
         assert (out / "test_noise_0.3_traces.csv").exists()
         assert set(results) == {"model", "test_noise_0.0", "test_noise_0.3"}
+
+    def test_example2_decides_norm_once(self, campaign, tmp_path):
+        config = tiny_config(example_id=2, max_epochs=1,
+                             output_dir=str(tmp_path / "runs"))
+        results = run_experiment(config, campaign)
+        model = results["model"]
+        assert model.norm == dataset.compute_norm_constants(
+            select_runs(campaign, config.train_condition_ids))
+        # the clean test-noise set is the cell's own test set
+        assert np.array_equal(results["test_noise_0.0"].accuracy.per_window,
+                              model.test_report.accuracy.per_window)
 
     def test_example2_windows_training_set_once(self, campaign, tmp_path,
                                                monkeypatch):

@@ -51,16 +51,8 @@ def scalar_lstm_oracle(layer, inputs):
 class TestLstmForward:
     def test_all_zero_parameters(self):
         layer = zero_layer(2, 3)
-        hs, (h, c) = lstm_forward(layer, np.random.default_rng(0).normal(size=(5, 2)))
-        assert np.all(hs == 0.0) and np.all(h == 0.0) and np.all(c == 0.0)
-
-    def test_unit_initial_cell_state(self):
-        layer = zero_layer(1, 1)
-        hs, (h, c) = lstm_forward(layer, np.zeros((1, 1)),
-                                  initial_state=(np.zeros(1), np.ones(1)))
-        # f = 0.5 halves the carried cell state; g = 0 adds nothing
-        assert c[0] == pytest.approx(0.5)
-        assert h[0] == pytest.approx(0.5 * np.tanh(0.5))
+        hs = lstm_forward(layer, np.random.default_rng(0).normal(size=(1, 5, 2)))
+        assert hs.shape == (1, 5, 3) and np.all(hs == 0.0)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(5)
@@ -70,8 +62,8 @@ class TestLstmForward:
                                 b_input=rng.normal(0, 0.4, 4 * H),
                                 b_hidden=rng.normal(0, 0.4, 4 * H))
         inputs = rng.normal(size=(n, r))
-        hs, _ = lstm_forward(layer, inputs)
-        assert np.allclose(hs, scalar_lstm_oracle(layer, inputs), atol=1e-12)
+        hs = lstm_forward(layer, inputs[None])
+        assert np.allclose(hs[0], scalar_lstm_oracle(layer, inputs), atol=1e-12)
 
     def test_states_bounded(self):
         rng = np.random.default_rng(9)
@@ -79,7 +71,7 @@ class TestLstmForward:
                                 W_hidden=rng.normal(0, 2.0, (4 * 4, 4)),
                                 b_input=rng.normal(0, 2.0, 16),
                                 b_hidden=rng.normal(0, 2.0, 16))
-        hs, _ = lstm_forward(layer, rng.normal(size=(3, 50, 2)))
+        hs = lstm_forward(layer, rng.normal(size=(3, 50, 2)))
         assert np.all(np.abs(hs) < 1.0)
 
     def test_shape_mismatch_rejected(self):
