@@ -24,7 +24,7 @@ from .experiments import (ExperimentConfig, aggregate_reports, cell_datasets,
 from .metrics import evaluate, save_summaries, save_window_accuracies
 from .network import (META_TABLE, count_params, forward, load_checkpoint,
                       save_checkpoint)
-from .timeseries import TimeSeries
+from .timeseries import TimeSeries, write_csv
 from .vessel import save_campaign
 
 
@@ -123,12 +123,8 @@ def cmd_predict(args) -> int:
                            f"{anchor} + wave lag {w}")
     X = input_windows(motion_reg.values, wave_reg, np.array([anchor]), n, w)
     pred = forward(net, X[0]) * norm.B[channel] + norm.A[channel]
-    out = Path(args.output)
-    with out.open("w") as f:
-        f.write("time_s,value\n")
-        for k in range(m):
-            f.write(f"{float((anchor + k) * motion.dt)!r},{float(pred[k])!r}\n")
-    print(f"wrote {m}-step forecast to {out}")
+    write_csv(args.output, "time_s,value", zip(motion.times[anchor:anchor + m], pred))
+    print(f"wrote {m}-step forecast to {args.output}")
     return 0
 
 

@@ -28,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (FLOAT, POSITIVE, STR, ConfigurationError,
                      DegenerateDataError, DomainError, at_least, one_of,
                      read_document)
-from .timeseries import TimeSeries, load_rows
+from .timeseries import TimeSeries, load_rows, write_csv
 from .vessel import CampaignRun
 
 CHANNELS = ("wave", "heave", "surge")
@@ -280,15 +280,11 @@ def save_dataset(ds: WindowedDataset, path) -> None:
     normalization constants, and the noise level.
     """
     path = Path(path)
-    with path.open("w") as f:
-        x_cols = [f"x_{t}_{c}" for t in range(ds.n) for c in range(ds.r)]
-        y_cols = [f"y_{t}" for t in range(ds.m)]
-        f.write(",".join(["p"] + x_cols + y_cols) + "\n")
-        for i in range(len(ds)):
-            row = [str(int(ds.anchors[i]))]
-            row += [repr(float(v)) for v in ds.X[i].reshape(-1)]
-            row += [repr(float(v)) for v in ds.Y[i]]
-            f.write(",".join(row) + "\n")
+    x_cols = [f"x_{t}_{c}" for t in range(ds.n) for c in range(ds.r)]
+    y_cols = [f"y_{t}" for t in range(ds.m)]
+    write_csv(path, ",".join(["p"] + x_cols + y_cols),
+              ([p, *x, *y] for p, x, y in zip(
+                  ds.anchors, ds.X.reshape(len(ds), ds.n * ds.r).tolist(), ds.Y.tolist())))
     manifest = {
         "format_version": DATASET_VERSION, "n": ds.n, "m": ds.m, "w": ds.w, "r": ds.r,
         "channel": ds.channel, "role": ds.role, "noise_level": ds.noise_level,

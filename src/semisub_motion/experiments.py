@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ from .dataset import (NormalizationConstants, WindowedDataset, role_dataset,
 from .errors import POSITIVE, STR, ConfigurationError, at_least, one_of
 from .metrics import SUMMARY_HEADER, EvaluationReport, evaluate, save_summaries
 from .network import Network, forward, init_network, save_checkpoint
+from .timeseries import write_csv
 from .training import EpochRecord, TrainingConfig, train
 from .vessel import (DEFAULT_CONDITIONS, FULL_SCALE_DT, FULL_SCALE_DURATION,
                      CampaignRun, generate_campaign, load_campaign)
@@ -183,24 +184,20 @@ def train_cell(campaign: list[CampaignRun], config: ExperimentConfig,
 
 
 def save_history(history: list[EpochRecord], path) -> None:
-    with Path(path).open("w") as f:
-        f.write("epoch,lr,train_loss,test_loss\n")
-        for rec in history:
-            f.write(f"{rec.epoch},{rec.lr!r},{rec.train_loss!r},{rec.test_loss!r}\n")
+    write_csv(path, "epoch,lr,train_loss,test_loss", map(astuple, history))
 
 
 def save_traces(net: Network, ds: WindowedDataset, path, count: int = 5) -> None:
     """Prediction-vs-truth traces for evenly spaced sample windows."""
     idx = np.linspace(0, len(ds) - 1, count).astype(int)
     A, B = ds.norm.A[ds.channel], ds.norm.B[ds.channel]
-    with Path(path).open("w") as f:
-        f.write("window_p,step,time_s,truth,prediction\n")
-        for i in idx:
-            pred = forward(net, ds.X[i]) * B + A
-            truth = ds.Y[i] * B + A
-            p = int(ds.anchors[i])
-            for k in range(ds.m):
-                f.write(f"{p},{k},{float((p + k) * ds.dt)!r},{float(truth[k])!r},{float(pred[k])!r}\n")
+    rows = []
+    for i in idx:
+        pred = forward(net, ds.X[i]) * B + A
+        truth = ds.Y[i] * B + A
+        p = int(ds.anchors[i])
+        rows += [(p, k, float((p + k) * ds.dt), truth[k], pred[k]) for k in range(ds.m)]
+    write_csv(path, "window_p,step,time_s,truth,prediction", rows)
 
 
 def run_example1(config: ExperimentConfig, out: Path,
@@ -300,13 +297,9 @@ def run_experiment(config: ExperimentConfig,
 def aggregate_reports(output_dir) -> Path:
     """Collect every *_summary.csv under a run tree into one report CSV."""
     output_dir = Path(output_dir)
-    rows = []
-    for path in sorted(output_dir.rglob("*_summary.csv")):
-        lines = path.read_text().strip().splitlines()
-        rel = path.relative_to(output_dir)
-        for line in lines[1:]:
-            rows.append(f"{rel},{line}")
+    rows = [(path.relative_to(output_dir), line)
+            for path in sorted(output_dir.rglob("*_summary.csv"))
+            for line in path.read_text().strip().splitlines()[1:]]
     report = output_dir / "report.csv"
-    report.write_text("source," + SUMMARY_HEADER + "\n"
-                      + "".join(r + "\n" for r in rows))
+    write_csv(report, "source," + SUMMARY_HEADER, rows)
     return report

@@ -13,14 +13,14 @@ their fraction reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .dataset import WindowedDataset
 from .errors import DomainError
-from .network import Network, forward
+from .network import INFERENCE_ROWS, Network, forward
+from .timeseries import write_csv
 
 # A window counts as flat when its deviation area is this fraction of its
 # absolute scale (exactly zero for truly constant windows).
@@ -101,7 +101,7 @@ def boxplot_stats(values) -> BoxplotSummary:
                           q3=float(q3), max=float(arr.max()), mean=float(arr.mean()))
 
 
-def evaluate(net: Network, ds: WindowedDataset, chunk: int = 4096) -> EvaluationReport:
+def evaluate(net: Network, ds: WindowedDataset) -> EvaluationReport:
     """Score every window of a dataset in physical units.
 
     Predictions and targets are deregularized with the dataset's motion
@@ -112,8 +112,8 @@ def evaluate(net: Network, ds: WindowedDataset, chunk: int = 4096) -> Evaluation
         raise DomainError(f"network output size {net.output_size} != dataset m {ds.m}")
     A, B = ds.norm.A[ds.channel], ds.norm.B[ds.channel]
     pred = np.empty((len(ds), ds.m))
-    for start in range(0, len(ds), chunk):
-        pred[start:start + chunk] = forward(net, ds.X[start:start + chunk])
+    for start in range(0, len(ds), INFERENCE_ROWS):
+        pred[start:start + INFERENCE_ROWS] = forward(net, ds.X[start:start + INFERENCE_ROWS])
     acc, kept = _scores(pred * B + A, ds.Y * B + A, ds.dt)
     if not kept.any():
         raise DomainError("every window was degenerate; nothing to summarize")
@@ -127,25 +127,13 @@ def evaluate(net: Network, ds: WindowedDataset, chunk: int = 4096) -> Evaluation
 
 def save_window_accuracies(result: AccuracyResult, path) -> None:
     """Per-window CSV: `window_p,acc` (degenerate windows omitted)."""
-    with Path(path).open("w") as f:
-        f.write("window_p,acc\n")
-        for anchor, acc in zip(result.anchors, result.per_window):
-            f.write(f"{int(anchor)},{float(acc)!r}\n")
-
-
-def summary_row(report: EvaluationReport, dataset_name: str) -> str:
-    """One row of the summary CSV consumed by plotting."""
-    s = report.accuracy.summary
-    cells = [dataset_name, report.channel, report.n, report.m, report.w,
-             report.noise_level, s.min, s.q1, s.median, s.q3, s.max, s.mean]
-    return ",".join(repr(c) if isinstance(c, float) else str(c) for c in cells)
+    write_csv(path, "window_p,acc", zip(result.anchors, result.per_window))
 
 
 SUMMARY_HEADER = "dataset,channel,n,m,w,noise,min,q1,median,q3,max,mean"
 
 
 def save_summaries(reports: list[tuple[str, EvaluationReport]], path) -> None:
-    with Path(path).open("w") as f:
-        f.write(SUMMARY_HEADER + "\n")
-        for name, report in reports:
-            f.write(summary_row(report, name) + "\n")
+    write_csv(path, SUMMARY_HEADER, (
+        [name, r.channel, r.n, r.m, r.w, r.noise_level, *astuple(r.accuracy.summary)]
+        for name, r in reports))

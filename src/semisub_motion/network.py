@@ -46,6 +46,8 @@ from .dataset import WINDOW_SPEC
 from .errors import (ANY, DomainError, NumericalError, at_least, one_of,
                      read_document)
 
+# Windows per forward call when scoring a dataset: bounds its (n, rows, 4H) gates
+INFERENCE_ROWS = 4096
 CHECKPOINT_VERSION = 1
 # ``meta`` may hold any part of META_TABLE; forecasting needs all of it
 META_TABLE = {**WINDOW_SPEC, "seeds?": ANY}
@@ -57,11 +59,6 @@ CHECKPOINT_TABLE = {
     "fc_layers": [{"weights": [ANY], "bias": [ANY],
                    "activation": one_of("tanh", "identity")}],
 }
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # tanh form: stable for any x, no masks
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def _gate_affine(H: int) -> tuple[np.ndarray, np.ndarray]:

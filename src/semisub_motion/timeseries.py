@@ -1,4 +1,4 @@
-"""Uniformly sampled scalar time series with CSV round trip."""
+"""Uniformly sampled scalar time series, and the one CSV reader and writer."""
 
 from __future__ import annotations
 
@@ -42,11 +42,7 @@ class TimeSeries:
         return TimeSeries(dt=self.dt, values=values, start_time=self.start_time)
 
     def save_csv(self, path) -> None:
-        path = Path(path)
-        with path.open("w") as f:
-            f.write("time_s,value\n")
-            for t, v in zip(self.times, self.values):
-                f.write(f"{float(t)!r},{float(v)!r}\n")
+        write_csv(path, "time_s,value", zip(self.times, self.values))
 
     @classmethod
     def load_csv(cls, path) -> "TimeSeries":
@@ -61,6 +57,16 @@ class TimeSeries:
         if not np.allclose(steps, dt, rtol=1e-9, atol=1e-9):
             raise DomainError(f"{path}: non-uniform sampling")
         return cls(dt=dt, values=v, start_time=float(t[0]))
+
+
+def write_csv(path, header: str, rows) -> None:
+    """A header line, then one comma-joined line per row.  A float cell (numpy's
+    too) is its ``repr``, which reads back bit-equal; any other cell its ``str``."""
+    with Path(path).open("w") as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join(repr(float(c)) if isinstance(c, float) else str(c)
+                             for c in row) + "\n")
 
 
 def load_rows(path) -> np.ndarray:

@@ -9,7 +9,10 @@ import numpy as np
 from .dataset import WindowedDataset
 from .errors import (POSITIVE, ConfigurationError, DomainError, NumericalError,
                      Rule, at_least, check)
-from .network import Network, backward, forward, mse_loss
+from .network import INFERENCE_ROWS, Network, backward, forward, mse_loss
+
+BETA1, BETA2 = 0.9, 0.999  # Adam's moment decay rates
+EPSILON = 1e-8             # floor of Adam's denominator
 
 
 @dataclass
@@ -19,14 +22,11 @@ class AdamState:
     first_moment: list[np.ndarray]
     second_moment: list[np.ndarray]
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
-    def for_parameters(cls, params: list[np.ndarray], **kwargs) -> "AdamState":
+    def for_parameters(cls, params: list[np.ndarray]) -> "AdamState":
         return cls(first_moment=[np.zeros_like(p) for p in params],
-                   second_moment=[np.zeros_like(p) for p in params], **kwargs)
+                   second_moment=[np.zeros_like(p) for p in params])
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
@@ -38,15 +38,14 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
         raise DomainError("params/grads length mismatch")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g**2
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g**2
+        m_hat = m / (1.0 - BETA1**t)
+        v_hat = v / (1.0 - BETA2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + EPSILON)
     return params, state
 
 
@@ -94,11 +93,11 @@ class EpochRecord:
     test_loss: float
 
 
-def dataset_loss(net: Network, ds: WindowedDataset, chunk: int = 4096) -> float:
-    """Full-dataset MSE evaluated in chunks."""
+def dataset_loss(net: Network, ds: WindowedDataset) -> float:
+    """Full-dataset MSE evaluated in chunks of ``INFERENCE_ROWS``."""
     total = 0.0
-    for start in range(0, len(ds), chunk):
-        X, Y = ds.X[start:start + chunk], ds.Y[start:start + chunk]
+    for start in range(0, len(ds), INFERENCE_ROWS):
+        X, Y = ds.X[start:start + INFERENCE_ROWS], ds.Y[start:start + INFERENCE_ROWS]
         total += mse_loss(forward(net, X), Y) * X.shape[0]
     return total / len(ds)
 

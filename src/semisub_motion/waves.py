@@ -31,9 +31,9 @@ TAU_HIGH = 0.07  # shape parameter above the peak frequency
 CALIBRATION_BAND = (0.05, 10.0)
 CALIBRATION_POINTS = 40001
 
-# Synthesis band and default bin count.
+# Synthesis band and its bin count.
 SYNTHESIS_BAND = (0.25, 4.0)
-DEFAULT_BIN_COUNT = 256
+BIN_COUNT = 256
 
 
 @dataclass(frozen=True)
@@ -108,12 +108,12 @@ def calibrate_alpha(params: SpectrumParams) -> float:
 
 
 def synthesize_wave(params: SpectrumParams, duration: float, dt: float,
-                    seed: int, bin_count: int = DEFAULT_BIN_COUNT) -> TimeSeries:
+                    seed: int) -> TimeSeries:
     """Seeded random-phase superposition following the calibrated spectrum.
 
-    Uses ``bin_count`` equal-width bins over [0.25, 4] * wp with uniform
+    Uses ``BIN_COUNT`` equal-width bins over [0.25, 4] * wp with uniform
     intra-bin frequency jitter; amplitudes are sqrt(2 S(w_k) dw).
-    Deterministic per (params, duration, dt, seed, bin_count).
+    Deterministic per (params, duration, dt, seed).
     """
     if duration <= 0 or dt <= 0:
         raise DomainError("duration and dt must be positive")
@@ -129,11 +129,11 @@ def synthesize_wave(params: SpectrumParams, duration: float, dt: float,
         return TimeSeries(dt=dt, values=np.zeros(n_samples))
 
     calibrated = params if params.alpha is not None else params.calibrated()
-    edges = np.linspace(SYNTHESIS_BAND[0] * wp, omega_max, bin_count + 1)
+    edges = np.linspace(SYNTHESIS_BAND[0] * wp, omega_max, BIN_COUNT + 1)
     d_omega = np.diff(edges)
     rng = np.random.default_rng(seed)
-    omegas = edges[:-1] + rng.uniform(0.0, 1.0, bin_count) * d_omega
-    phases = rng.uniform(0.0, 2.0 * np.pi, bin_count)
+    omegas = edges[:-1] + rng.uniform(0.0, 1.0, BIN_COUNT) * d_omega
+    phases = rng.uniform(0.0, 2.0 * np.pi, BIN_COUNT)
     amplitudes = np.sqrt(2.0 * jonswap_density(omegas, calibrated) * d_omega)
     values = (amplitudes[:, None] * np.cos(omegas[:, None] * t[None, :]
                                            + phases[:, None])).sum(axis=0)

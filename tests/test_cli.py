@@ -92,6 +92,23 @@ class TestPipeline:
         # forecast times start at the anchor
         assert forecast.start_time == pytest.approx(200 * 0.775)
 
+    def test_forecast_times_follow_the_motion_csv(self, workspace, tmp_path):
+        root, _ = workspace
+        run_dir = root / "sim" / "campaign"
+        paths = {}
+        for channel in ("heave", "wave"):
+            series = TimeSeries.load_csv(run_dir / f"WC2_{channel}.csv")
+            paths[channel] = tmp_path / f"{channel}.csv"
+            TimeSeries(dt=series.dt, values=series.values,
+                       start_time=1000.0).save_csv(paths[channel])
+        out = tmp_path / "forecast.csv"
+        assert main(["predict",
+                     "--checkpoint", str(root / "model" / "checkpoint.json"),
+                     "--motion", str(paths["heave"]), "--wave", str(paths["wave"]),
+                     "--anchor", "200", "--output", str(out)]) == 0
+        # the first forecast time is the motion CSV's time at the anchor
+        assert TimeSeries.load_csv(out).start_time == pytest.approx(1000.0 + 200 * 0.775)
+
     def test_predict_matches_windowed_dataset(self, workspace, tmp_path):
         root, _ = workspace
         run_dir = root / "sim" / "campaign"

@@ -5,8 +5,7 @@ from semisub_motion.errors import DomainError
 from semisub_motion.network import (FcLayerParams, LstmLayerParams, Network,
                                     backward, count_params, forward,
                                     init_network, load_checkpoint,
-                                    lstm_forward, mse_loss, save_checkpoint,
-                                    sigmoid)
+                                    lstm_forward, mse_loss, save_checkpoint)
 
 
 def zero_layer(r, H):
@@ -329,21 +328,37 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+def gate_activations(x):
+    """The activated (i, f, g, o) gates of one lstm_forward step of an
+    H = 1 cell whose every gate pre-activation is its scalar input x."""
+    layer = zero_layer(1, 1)
+    layer.W_input[:] = 1.0
+    cache = {}
+    lstm_forward(layer, np.reshape(x, (-1, 1, 1)), cache=cache)
+    return cache["gates"][0].T
+
+
 def test_sigmoid_matches_naive():
     x = np.linspace(-30, 30, 101)
-    assert np.allclose(sigmoid(x), 1.0 / (1.0 + np.exp(-x)), atol=1e-15)
+    i, f, g, o = gate_activations(x)
+    for gate in (i, f, o):
+        assert np.allclose(gate, 1.0 / (1.0 + np.exp(-x)), atol=1e-15)
+    assert np.allclose(g, np.tanh(x), atol=1e-15)
 
 
 def test_sigmoid_extreme_inputs():
     x = np.concatenate([[-1e4, -1e3, 1e3, 1e4], np.linspace(-30, 30, 101)])
     with np.errstate(all="raise"):
-        y = sigmoid(x)
-    assert np.all(np.isfinite(y)) and np.all((y >= 0.0) & (y <= 1.0))
-    assert list(y[:4]) == [0.0, 0.0, 1.0, 1.0]
+        i, f, g, o = gate_activations(x)
     with np.errstate(over="ignore"):
         naive = 1.0 / (1.0 + np.exp(-x))
     finite = np.isfinite(naive)
-    assert np.allclose(y[finite], naive[finite], atol=1e-15)
+    for gate in (i, f, o):
+        assert np.all(np.isfinite(gate)) and np.all((gate >= 0.0) & (gate <= 1.0))
+        assert list(gate[:4]) == [0.0, 0.0, 1.0, 1.0]
+        assert np.allclose(gate[finite], naive[finite], atol=1e-15)
+    assert list(g[:4]) == [-1.0, -1.0, 1.0, 1.0]
+    assert np.allclose(g, np.tanh(x), atol=1e-15)
 
 
 def test_final_layer_must_be_affine():

@@ -35,3 +35,22 @@ def test_example_script_writes_its_summaries(tmp_path, example):
     for tag in SUMMARIES[example]:
         lines = (out / f"{tag}_heave_summary.csv").read_text().splitlines()
         assert lines[0] == SUMMARY_HEADER and len(lines) >= 2
+
+
+def test_write_outputs_writes_every_output_file(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "write_outputs.py"), str(tmp_path / "out")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    out = tmp_path / "out"
+    for example in (1, 2, 3):
+        for name in ("training.csv", "history.csv", "summary.csv", "forecast_last.csv",
+                     "forecast_200.csv", "evaluate_test/window_accuracy.csv"):
+            assert (out / f"example{example}" / name).is_file()
+    assert (out / "runs" / "example1_heave" / "time_window_n12_m6_w6_traces.csv").is_file()
+    report = (out / "runs" / "report.csv").read_text().splitlines()
+    assert report[0] == "source," + SUMMARY_HEADER
+    sources = {line.split(",")[0].split("/")[0] for line in report[1:]}
+    assert sources == {"example1_heave", "example2_heave", "example2_surge", "example3_heave"}
