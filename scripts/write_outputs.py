@@ -5,13 +5,15 @@
 
 Under OUT_DIR: the campaign; for examples 1-3 a built dataset, a trained
 model, its evaluation on both sets and forecasts at the default anchor and at
-anchor 200; sweeps of examples 1 (heave), 2 (heave and surge) and 3; and the
-report over those sweeps.  Two trees written by two versions of the code
-compare with ``diff -r``: at equal outputs they differ only in ``output_dir``
-inside each ``config.json`` and in ``run.log``.
+anchor 200; sweeps of examples 1 (heave), 2 (heave and surge) and 3 under
+``runs``; and the report over those sweeps.  The script works inside OUT_DIR
+and gives every path relative to it, so no file holds OUT_DIR itself.  Two
+trees written by two versions of the code compare with ``diff -r``: at equal
+outputs they differ only in ``elapsed_s`` inside each ``run.log``.
 """
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -36,12 +38,13 @@ def run(*args) -> None:
 
 def write_outputs(out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    config = out / "config.json"
-    config.write_text(json.dumps({**TINY, "output_dir": str(out / "runs")}, indent=2))
-    run("simulate", "--config", config, "--output", out)
-    campaign = out / "campaign"
+    os.chdir(out)
+    config = Path("config.json")
+    config.write_text(json.dumps({**TINY, "output_dir": "runs"}, indent=2))
+    run("simulate", "--config", config, "--output", ".")
+    campaign = Path("campaign")
     for example in (1, 2, 3):
-        cell = out / f"example{example}"
+        cell = Path(f"example{example}")
         flags = ["--config", config, "--set", f"example_id={example}",
                  "--campaign", campaign, "--output", cell]
         run("build-dataset", *flags)
@@ -57,7 +60,7 @@ def write_outputs(out: Path) -> None:
     for example, channel in SWEEPS:
         run("sweep", "--config", config, "--set", f"example_id={example}",
             "--set", f"channel={channel}")
-    run("report", "--output-dir", out / "runs")
+    run("report", "--output-dir", "runs")
 
 
 if __name__ == "__main__":

@@ -113,7 +113,11 @@ def cmd_predict(args) -> int:
     if r == 2:
         if not args.wave:
             raise SemisubError("this checkpoint expects a wave input (--wave)")
-        wave_reg = regularize(load(args.wave), norm.A["wave"], norm.B["wave"]).values
+        wave = load(args.wave)
+        if not np.isclose(wave.start_time, motion.start_time, rtol=1e-9, atol=0.0):
+            raise SemisubError(f"{args.wave}: starts at {wave.start_time!r} s, the motion "
+                               f"CSV at {motion.start_time!r} s")
+        wave_reg = regularize(wave, norm.A["wave"], norm.B["wave"]).values
     L = len(motion)
     anchor = args.anchor if args.anchor is not None else L - max(m, w)
     if not n <= anchor <= L - max(m, w):

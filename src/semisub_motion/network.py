@@ -97,9 +97,6 @@ class LstmLayerParams:
     def hidden_size(self) -> int:
         return self.W_input.shape[0] // 4
 
-    def parameters(self) -> list[np.ndarray]:
-        return [self.W_input, self.W_hidden, self.b_input, self.b_hidden]
-
 
 @dataclass
 class FcLayerParams:
@@ -115,9 +112,6 @@ class FcLayerParams:
         if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
             raise DomainError("weights not a matrix or bias shape inconsistent with them")
 
-    def parameters(self) -> list[np.ndarray]:
-        return [self.weights, self.bias]
-
 
 @dataclass
 class Network:
@@ -128,7 +122,9 @@ class Network:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.fc_layers and self.fc_layers[-1].activation != "identity":
+        if not self.lstm_layers or not self.fc_layers:
+            raise DomainError("a network needs at least one LSTM and one FC layer")
+        if self.fc_layers[-1].activation != "identity":
             raise DomainError("final FC layer must be affine (identity activation)")
         widths = ([l.hidden_size for l in self.lstm_layers]
                   + [l.weights.shape[0] for l in self.fc_layers])
@@ -139,28 +135,16 @@ class Network:
 
     @property
     def input_size(self) -> int:
-        return self.lstm_layers[0].input_size if self.lstm_layers else 0
+        return self.lstm_layers[0].input_size
 
     @property
     def output_size(self) -> int:
-        return self.fc_layers[-1].weights.shape[0] if self.fc_layers else 0
+        return self.fc_layers[-1].weights.shape[0]
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.lstm_layers:
-            out.extend(layer.parameters())
-        for layer in self.fc_layers:
-            out.extend(layer.parameters())
-        return out
-
-    def set_parameters(self, arrays: list[np.ndarray]) -> None:
-        own = self.parameters()
-        if len(own) != len(arrays):
-            raise DomainError("parameter list length mismatch")
-        for dst, src in zip(own, arrays):
-            if dst.shape != src.shape:
-                raise DomainError("parameter shape mismatch")
-            dst[...] = src
+        """Each layer's array fields in field order, LSTM layers first."""
+        return [value for layer in self.lstm_layers + self.fc_layers
+                for value in vars(layer).values() if isinstance(value, np.ndarray)]
 
 
 def init_network(input_size: int, hidden_sizes: list[int], fc_count: int,
@@ -184,18 +168,13 @@ def init_network(input_size: int, hidden_sizes: list[int], fc_count: int,
             b_hidden=rng.uniform(-bound, bound, 4 * H)))
         prev = H
     fc_layers = []
-    for _ in range(fc_count):
+    for k, width in enumerate([fc_width] * fc_count + [output_size]):
         bound = 1.0 / np.sqrt(prev)
         fc_layers.append(FcLayerParams(
-            weights=rng.uniform(-bound, bound, (fc_width, prev)),
-            bias=rng.uniform(-bound, bound, fc_width),
-            activation="tanh"))
-        prev = fc_width
-    bound = 1.0 / np.sqrt(prev)
-    fc_layers.append(FcLayerParams(
-        weights=rng.uniform(-bound, bound, (output_size, prev)),
-        bias=rng.uniform(-bound, bound, output_size),
-        activation="identity"))
+            weights=rng.uniform(-bound, bound, (width, prev)),
+            bias=rng.uniform(-bound, bound, width),
+            activation="tanh" if k < fc_count else "identity"))
+        prev = width
     return Network(lstm_layers=lstm_layers, fc_layers=fc_layers)
 
 
@@ -334,35 +313,26 @@ def backward(net: Network, X: np.ndarray, Y: np.ndarray
     h_last = lstm_caches[-1]["hs"][:, -1]
 
     d = 2.0 * (pred - Y) / (B * m)
-    fc_grads: list[list[np.ndarray]] = []
+    # walking back, each layer's gradients go in front of the later layers'
+    grads: list[np.ndarray] = []
     for k in range(len(net.fc_layers) - 1, -1, -1):
         layer = net.fc_layers[k]
         a_out = fc_acts[k]
         if layer.activation == "tanh":
             d = d * (1.0 - a_out**2)
         a_in = fc_acts[k - 1] if k > 0 else h_last
-        fc_grads.append([d.T @ a_in, d.sum(axis=0)])
+        grads[:0] = [d.T @ a_in, d.sum(axis=0)]
         d = d @ layer.weights
-    fc_grads.reverse()
 
     # gradient reaches the last LSTM layer only at the final time step
     n = X.shape[1]
     H_top = net.lstm_layers[-1].hidden_size
     dh_seq = np.zeros((n, B, H_top))
     dh_seq[-1] = d
-    lstm_grads: list[list[np.ndarray]] = []
     for k in range(len(net.lstm_layers) - 1, -1, -1):
-        grads_k, dx = _lstm_backward(net.lstm_layers[k], lstm_caches[k], dh_seq)
-        lstm_grads.append(grads_k)
-        dh_seq = dx
-    lstm_grads.reverse()
-
-    flat: list[np.ndarray] = []
-    for g in lstm_grads:
-        flat.extend(g)
-    for g in fc_grads:
-        flat.extend(g)
-    return loss, flat
+        layer_grads, dh_seq = _lstm_backward(net.lstm_layers[k], lstm_caches[k], dh_seq)
+        grads[:0] = layer_grads
+    return loss, grads
 
 
 def count_params(net: Network) -> int:
@@ -387,28 +357,22 @@ def save_checkpoint(net: Network, path) -> None:
         "architecture": architecture(net),
         "param_count": count_params(net),
         "meta": net.meta,
-        "lstm_layers": [{
-            "W_input": l.W_input.tolist(), "W_hidden": l.W_hidden.tolist(),
-            "b_input": l.b_input.tolist(), "b_hidden": l.b_hidden.tolist(),
-        } for l in net.lstm_layers],
-        "fc_layers": [{
-            "weights": l.weights.tolist(), "bias": l.bias.tolist(),
-            "activation": l.activation,
-        } for l in net.fc_layers],
+        "lstm_layers": [vars(l) for l in net.lstm_layers],
+        "fc_layers": [vars(l) for l in net.fc_layers],
     }
-    Path(path).write_text(json.dumps(doc))
+    Path(path).write_text(json.dumps(doc, default=np.ndarray.tolist))
 
 
 def load_checkpoint(path) -> Network:
     doc = read_document(path, CHECKPOINT_VERSION, CHECKPOINT_TABLE)
+
+    def layer(kind, fields: dict):
+        return kind(**{k: v if isinstance(v, str) else np.array(v, dtype=np.float64)
+                       for k, v in fields.items()})
+
     try:
-        lstm_layers = [LstmLayerParams(**{k: np.array(v, dtype=np.float64)
-                                          for k, v in l.items()})
-                       for l in doc["lstm_layers"]]
-        fc_layers = [FcLayerParams(np.array(l["weights"], dtype=np.float64),
-                                   np.array(l["bias"], dtype=np.float64),
-                                   l["activation"]) for l in doc["fc_layers"]]
-        net = Network(lstm_layers=lstm_layers, fc_layers=fc_layers,
+        net = Network(lstm_layers=[layer(LstmLayerParams, l) for l in doc["lstm_layers"]],
+                      fc_layers=[layer(FcLayerParams, l) for l in doc["fc_layers"]],
                       meta=doc.get("meta") or {})
     except (TypeError, ValueError) as exc:
         raise DomainError(f"malformed checkpoint {path}: {exc!r}") from exc

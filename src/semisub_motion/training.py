@@ -143,5 +143,6 @@ def train(net: Network, training: WindowedDataset, test: WindowedDataset,
             best_loss = test_loss
             for dst, src in zip(best_params, params):
                 dst[...] = src
-    net.set_parameters(best_params)
+    for dst, src in zip(params, best_params):
+        dst[...] = src
     return net, history

@@ -211,7 +211,8 @@ def save_campaign(runs: list[CampaignRun], directory,
 
 
 def load_campaign(directory) -> list[CampaignRun]:
-    """Read a ``save_campaign`` directory, checking each CSV against its manifest."""
+    """Read a ``save_campaign`` directory, checking each CSV against its manifest
+    and against the campaign's one time axis: the first CSV's dt and start time."""
     directory = Path(directory)
     path = directory / "manifest.json"
     runs = []
@@ -219,12 +220,17 @@ def load_campaign(directory) -> list[CampaignRun]:
         cond = WaveCondition(**e["condition"])
         series = {ch: TimeSeries.load_csv(directory / f"{cond.id}_{ch}.csv")
                   for ch in ("wave", "heave", "surge")}
+        axis = runs[0].wave if runs else series["wave"]
         for ch, ts in series.items():
+            csv = directory / f"{cond.id}_{ch}.csv"
             if not (ts.values.size == e["samples"]
                     and np.isclose(ts.dt, e["dt"], rtol=1e-9, atol=0.0)):
-                raise DomainError(
-                    f"{directory / f'{cond.id}_{ch}.csv'}: {ts.values.size} samples at "
-                    f"dt {ts.dt!r}, not the manifest's {e['samples']!r} at {e['dt']!r}")
+                raise DomainError(f"{csv}: {ts.values.size} samples at dt {ts.dt!r}, not "
+                                  f"the manifest's {e['samples']!r} at {e['dt']!r}")
+            if not np.allclose([ts.dt, ts.start_time], [axis.dt, axis.start_time],
+                               rtol=1e-9, atol=0.0):
+                raise DomainError(f"{csv}: dt {ts.dt!r} from {ts.start_time!r} s, not the "
+                                  f"campaign's dt {axis.dt!r} from {axis.start_time!r} s")
         runs.append(CampaignRun(condition=cond, seed=e["seed"], **series))
     _check_unique_ids([r.condition for r in runs], DomainError, f"{path}: ")
     return runs

@@ -191,6 +191,21 @@ class TestPipeline:
         assert code == 1
         assert len(err) == 1 and "sample interval" in err[0]
 
+    def test_predict_rejects_wave_starting_at_another_time(self, workspace, tmp_path,
+                                                           capsys):
+        root, _ = workspace
+        run_dir = root / "sim" / "campaign"
+        wave = TimeSeries.load_csv(run_dir / "WC2_wave.csv")
+        shifted = tmp_path / "wave.csv"
+        TimeSeries(dt=wave.dt, values=wave.values, start_time=500.0).save_csv(shifted)
+        code = main(["predict",
+                     "--checkpoint", str(root / "model" / "checkpoint.json"),
+                     "--motion", str(run_dir / "WC2_heave.csv"),
+                     "--wave", str(shifted), "--anchor", "200",
+                     "--output", str(tmp_path / "forecast.csv")])
+        assert "starts at 500.0 s" in one_error_line(code, capsys)
+        assert not (tmp_path / "forecast.csv").exists()
+
     def test_predict_rejects_checkpoint_without_window_metadata(
             self, workspace, tmp_path, capsys):
         root, _ = workspace
@@ -433,6 +448,37 @@ class TestPipeline:
                      str(tmp_path / "no" / "such"), "--output", str(tmp_path / "data")])
         assert "manifest.json" in one_error_line(code, capsys)
         assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("command", ["build-dataset", "train"])
+    def test_campaign_runs_share_one_sample_interval(self, workspace, tmp_path,
+                                                     capsys, command):
+        """WC1 re-saved at dt 0.5 with its manifest entry to match, the other
+        runs left at the campaign's dt."""
+        root, config = workspace
+        campaign = tmp_path / "campaign"
+        shutil.copytree(root / "sim" / "campaign", campaign)
+        for channel in ("wave", "heave", "surge"):
+            path = campaign / f"WC1_{channel}.csv"
+            series = TimeSeries.load_csv(path)
+            TimeSeries(dt=0.5, values=series.values).save_csv(path)
+        manifest = json.loads((campaign / "manifest.json").read_text())
+        manifest["runs"][0]["dt"] = 0.5
+        (campaign / "manifest.json").write_text(json.dumps(manifest))
+        code = main([command, "--config", str(config), "--campaign", str(campaign),
+                     "--output", str(tmp_path / "out")])
+        assert "WC2_wave.csv: dt 0.775" in one_error_line(code, capsys)
+
+    def test_campaign_channels_share_one_start_time(self, workspace, tmp_path, capsys):
+        root, config = workspace
+        campaign = tmp_path / "campaign"
+        shutil.copytree(root / "sim" / "campaign", campaign)
+        wave = TimeSeries.load_csv(campaign / "WC1_wave.csv")
+        TimeSeries(dt=wave.dt, values=wave.values,
+                   start_time=300.0).save_csv(campaign / "WC1_wave.csv")
+        code = main(["train", "--config", str(config), "--campaign", str(campaign),
+                     "--output", str(tmp_path / "out")])
+        assert "from 300.0 s" in one_error_line(code, capsys)
+        assert not (tmp_path / "out").exists()
 
     def test_example2_train_matches_sweep(self, workspace, tmp_path):
         _, config = workspace

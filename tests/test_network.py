@@ -321,6 +321,26 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert "\n" not in str(info.value)
 
+    def test_file_lists_each_layer_field_in_order(self, tmp_path):
+        import json
+        net = init_network(2, [4, 3], 1, 5, 3, seed=4)
+        net.meta = {"r": 2, "m": 3}
+        path = tmp_path / "net.json"
+        save_checkpoint(net, path)
+        doc = json.loads(path.read_text())
+        assert list(doc) == ["format_version", "architecture", "param_count", "meta",
+                             "lstm_layers", "fc_layers"]
+        assert len(doc["lstm_layers"]) == 2 and len(doc["fc_layers"]) == 2
+        for saved, layer in zip(doc["lstm_layers"], net.lstm_layers):
+            assert list(saved) == ["W_input", "W_hidden", "b_input", "b_hidden"]
+            for key in saved:
+                assert saved[key] == getattr(layer, key).tolist()
+        for saved, layer in zip(doc["fc_layers"], net.fc_layers):
+            assert list(saved) == ["weights", "bias", "activation"]
+            assert saved["weights"] == layer.weights.tolist()
+            assert saved["bias"] == layer.bias.tolist()
+            assert saved["activation"] == layer.activation
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "trunc.json"
         path.write_text('{"format_version": 1, "lstm')
@@ -362,6 +382,11 @@ def test_sigmoid_extreme_inputs():
 
 
 def test_final_layer_must_be_affine():
-    with pytest.raises(DomainError):
-        Network(lstm_layers=[], fc_layers=[FcLayerParams(np.zeros((2, 2)),
-                                                         np.zeros(2), "tanh")])
+    """Also refuses an empty LSTM or FC layer list."""
+    lstm = [zero_layer(2, 2)]
+    tanh, affine = (FcLayerParams(np.zeros((2, 2)), np.zeros(2), activation)
+                    for activation in ("tanh", "identity"))
+    for lstm_layers, fc_layers in ((lstm, [tanh]), ([], [affine]), (lstm, [])):
+        with pytest.raises(DomainError):
+            Network(lstm_layers=lstm_layers, fc_layers=fc_layers)
+    Network(lstm_layers=lstm, fc_layers=[affine])
