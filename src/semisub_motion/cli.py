@@ -16,14 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import (NormalizationConstants, input_windows, load_dataset,
-                      regularize, save_dataset, window_spec)
-from .errors import SemisubError, check
+from .dataset import (NormalizationConstants, build_pairs, load_dataset,
+                      save_dataset, window_spec)
+from .errors import SemisubError
 from .experiments import (ExperimentConfig, aggregate_reports, cell_datasets,
                           get_campaign, run_experiment, save_history, train_cell)
 from .metrics import evaluate, save_summaries, save_window_accuracies
-from .network import (META_TABLE, count_params, forward, load_checkpoint,
-                      save_checkpoint)
+from .network import count_params, forward, load_checkpoint, save_checkpoint
 from .timeseries import TimeSeries, write_csv
 from .vessel import save_campaign
 
@@ -95,10 +94,8 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     net = load_checkpoint(args.checkpoint)
     meta = net.meta
-    check({"meta": meta}, {"meta": META_TABLE}, where=f"{args.checkpoint}: ")
-    n, m, w, r = meta["n"], meta["m"], meta["w"], meta["r"]
+    n, m, w, channel = meta["n"], meta["m"], meta["w"], meta["channel"]
     norm = NormalizationConstants.from_dict(meta["norm"])
-    channel = meta["channel"]
 
     def load(path):
         series = TimeSeries.load_csv(path)
@@ -108,25 +105,20 @@ def cmd_predict(args) -> int:
         return series
 
     motion = load(args.motion)
-    motion_reg = regularize(motion, norm.A[channel], norm.B[channel])
-    wave_reg = None
-    if r == 2:
+    wave = None
+    if meta["r"] == 2:
         if not args.wave:
             raise SemisubError("this checkpoint expects a wave input (--wave)")
         wave = load(args.wave)
         if not np.isclose(wave.start_time, motion.start_time, rtol=1e-9, atol=0.0):
             raise SemisubError(f"{args.wave}: starts at {wave.start_time!r} s, the motion "
                                f"CSV at {motion.start_time!r} s")
-        wave_reg = regularize(wave, norm.A["wave"], norm.B["wave"]).values
-    L = len(motion)
-    anchor = args.anchor if args.anchor is not None else L - max(m, w)
-    if not n <= anchor <= L - max(m, w):
-        raise SemisubError(f"anchor {anchor} outside valid range [{n}, {L - max(m, w)}]")
-    if wave_reg is not None and len(wave_reg) < anchor + w:
-        raise SemisubError(f"{args.wave}: {len(wave_reg)} samples end before anchor "
-                           f"{anchor} + wave lag {w}")
-    X = input_windows(motion_reg.values, wave_reg, np.array([anchor]), n, w)
-    pred = forward(net, X[0]) * norm.B[channel] + norm.A[channel]
+    ds = build_pairs(motion, wave, n, m, w, norm, channel)
+    anchor = args.anchor if args.anchor is not None else ds.anchors[-1]
+    if anchor not in ds.anchors:
+        raise SemisubError(f"anchor {anchor} outside valid range "
+                           f"[{ds.anchors[0]}, {ds.anchors[-1]}]")
+    pred = forward(net, ds.X[anchor - n]) * norm.B[channel] + norm.A[channel]
     write_csv(args.output, "time_s,value", zip(motion.times[anchor:anchor + m], pred))
     print(f"wrote {m}-step forecast to {args.output}")
     return 0
@@ -134,7 +126,6 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     net = load_checkpoint(args.checkpoint)
-    check({"meta": net.meta}, {"meta": META_TABLE}, where=f"{args.checkpoint}: ")
     ds = load_dataset(args.dataset)
     differ = [k for k, v in window_spec(ds).items()
               if not (np.isclose(v, net.meta[k], rtol=1e-9, atol=0.0) if k == "dt"
@@ -225,8 +216,8 @@ def main(argv=None) -> int:
     except SemisubError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

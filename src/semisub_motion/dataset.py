@@ -8,11 +8,11 @@ wave lag w) with a target Y of the next m motion samples:
     wave rows:    t_{p+w-n} .. t_{p+w-1}
     target:       t_p .. t_{p+m-1}
 
-``input_windows`` owns this input layout, for datasets and forecasts alike.
-Channels are standardized by campaign-wide constants A (mean of per-run
-means) and B (mean of per-run standard deviations).  ``role_dataset`` builds
-each role's set.  Noise-extended sets add seeded Gaussian noise (std I * sigma
-of the clean series) to the inputs only; targets are windowed once, clean.
+``build_pairs`` owns this layout, for datasets and forecasts alike.  It
+standardizes channels by campaign-wide constants A (mean of per-run means)
+and B (mean of per-run standard deviations).  ``role_dataset`` builds each
+role's set.  Noise-extended sets add seeded Gaussian noise (std I * sigma of
+the clean series) to the inputs only; targets are windowed once, clean.
 """
 
 from __future__ import annotations
@@ -140,47 +140,39 @@ def pair_count(L: int, n: int, m: int, w: int) -> int:
     return max(0, L - n - max(m, w) + 1)
 
 
-def input_windows(motion: np.ndarray, wave: np.ndarray | None,
-                  anchors: np.ndarray, n: int, w: int) -> np.ndarray:
-    """Input blocks (N, n, r) at ``anchors``: motion rows p-n..p-1 and, when
-    ``wave`` is given, wave rows p+w-n..p+w-1 as feature column 1."""
-    blocks = [sliding_window_view(motion, n)[anchors - n]]
-    if wave is not None:
-        blocks.append(sliding_window_view(wave, n)[anchors - n + w])
-    return np.stack(blocks, axis=2)
-
-
 def build_pairs(motion: TimeSeries, wave: TimeSeries | None, n: int, m: int,
                 w: int, norm: NormalizationConstants | None = None,
                 channel: str = "heave", run_id: str = "run",
                 role: str = "training", noise_level: float = 0.0,
                 stride: int = 1, target: TimeSeries | None = None
                 ) -> WindowedDataset:
-    """Window one (already regularized) run into input-output pairs.
-
-    Y is cut from ``target`` (default: ``motion``).  ``stride`` subsamples
-    the anchors for desk-scale training; stride 1 keeps every valid window.
-    """
+    """Standardize one run by ``norm`` (default: identity) and cut its
+    windows: X holds motion rows p-n..p-1 and, with ``wave``, wave rows
+    p+w-n..p+w-1; Y is cut from ``target`` (default: ``motion``).
+    ``stride`` subsamples the anchors; stride 1 keeps every valid window."""
     if n < 1 or m < 1 or w < 0:
         raise DomainError(f"need n, m >= 1 and w >= 0, got n={n} m={m} w={w}")
     if stride < 1:
         raise DomainError("stride must be >= 1")
-    target = motion if target is None else target
     L = len(motion)
-    if (wave is not None and len(wave) != L) or len(target) != L:
+    if (wave is not None and len(wave) != L) or (target is not None and len(target) != L):
         raise DomainError("motion, wave and target must have equal length")
-    if pair_count(L, n, m, w) <= 0:
+    anchors = np.arange(n, n + pair_count(L, n, m, w), stride)
+    if not anchors.size:
         raise DomainError(
             f"series of length {L} too short for n={n}, m={m}, w={w}")
-    anchors = np.arange(n, L - max(m, w) + 1, stride)
-    X = input_windows(motion.values, None if wave is None else wave.values,
-                      anchors, n, w)
-    Y = sliding_window_view(target.values, m)[anchors]
     norm = norm or NormalizationConstants(A={channel: 0.0, "wave": 0.0},
                                           B={channel: 1.0, "wave": 1.0})
-    return WindowedDataset(X=X, Y=Y, anchors=anchors,
-                           run_ids=[run_id] * len(anchors), n=n, m=m, w=w,
-                           channel=channel, norm=norm, role=role,
+    A, B = norm.A, norm.B
+    x = regularize(motion, A[channel], B[channel]).values
+    y = x if target is None else regularize(target, A[channel], B[channel]).values
+    blocks = [sliding_window_view(x, n)[anchors - n]]
+    if wave is not None:
+        blocks.append(sliding_window_view(
+            regularize(wave, A["wave"], B["wave"]).values, n)[anchors - n + w])
+    return WindowedDataset(X=np.stack(blocks, axis=2), Y=sliding_window_view(y, m)[anchors],
+                           anchors=anchors, run_ids=[run_id] * len(anchors), n=n,
+                           m=m, w=w, channel=channel, norm=norm, role=role,
                            noise_level=noise_level, dt=motion.dt)
 
 
@@ -202,22 +194,6 @@ def concat_datasets(parts: list[WindowedDataset]) -> WindowedDataset:
         dt=first.dt)
 
 
-def _windowed_run(run: CampaignRun, channel: str, use_wave: bool, n: int,
-                  m: int, w: int, norm: NormalizationConstants,
-                  noise_level: float, noise_base_seed: int, role: str,
-                  stride: int) -> WindowedDataset:
-    def model_input(series: TimeSeries, ch: str) -> TimeSeries:
-        seed = noise_seed(run.condition.id, ch, noise_level, noise_base_seed)
-        return regularize(add_noise(series, noise_level, seed), norm.A[ch], norm.B[ch])
-
-    motion = run.channel(channel)
-    return build_pairs(
-        model_input(motion, channel), model_input(run.wave, "wave") if use_wave else None,
-        n, m, w, norm=norm, channel=channel, run_id=run.condition.id, role=role,
-        noise_level=noise_level, stride=stride,
-        target=regularize(motion, norm.A[channel], norm.B[channel]))
-
-
 def role_dataset(campaign: list[CampaignRun], role: str, channel: str, n: int,
                  m: int, w: int, noise_levels: list[float],
                  norm: NormalizationConstants, use_wave: bool = True,
@@ -235,9 +211,17 @@ def role_dataset(campaign: list[CampaignRun], role: str, channel: str, n: int,
                   key=lambda r: r.condition.id)
     if not runs:
         raise ConfigurationError(f"campaign has no {role}-role run")
+
+    def noisy(run: CampaignRun, ch: str, level: float) -> TimeSeries:
+        seed = noise_seed(run.condition.id, ch, level, noise_base_seed)
+        return add_noise(run.channel(ch), level, seed)
+
     ds = concat_datasets([
-        _windowed_run(run, channel, use_wave, n, m, w, norm, level,
-                      noise_base_seed, role, stride)
+        build_pairs(noisy(run, channel, level),
+                    noisy(run, "wave", level) if use_wave else None,
+                    n, m, w, norm=norm, channel=channel, run_id=run.condition.id,
+                    role=role, noise_level=level, stride=stride,
+                    target=run.channel(channel))
         for run in runs for level in noise_levels
     ])
     ds.noise_level = max(noise_levels)
@@ -309,7 +293,10 @@ def load_dataset(path) -> WindowedDataset:
         raise DomainError(f"{path}: column count does not match manifest")
     if not np.all(np.isfinite(data)):
         raise DomainError(f"{path}: non-finite value")
-    anchors = data[:, 0].astype(int)
+    p = data[:, 0]
+    if not np.all((p == np.floor(p)) & (n <= p) & (p < 2**53)):
+        raise DomainError(f"{path}: column p must hold whole numbers in [{n}, 2**53)")
+    anchors = p.astype(int)
     X = data[:, 1:1 + n * r].reshape(-1, n, r)
     Y = data[:, 1 + n * r:]
     return WindowedDataset(

@@ -49,11 +49,9 @@ from .errors import (ANY, DomainError, NumericalError, at_least, one_of,
 # Windows per forward call when scoring a dataset: bounds its (n, rows, 4H) gates
 INFERENCE_ROWS = 4096
 CHECKPOINT_VERSION = 1
-# ``meta`` may hold any part of META_TABLE; forecasting needs all of it
-META_TABLE = {**WINDOW_SPEC, "seeds?": ANY}
 CHECKPOINT_TABLE = {
     "architecture?": ANY, "param_count": at_least(1),
-    "meta?": {f"{key.rstrip('?')}?": spec for key, spec in META_TABLE.items()},
+    "meta": {**WINDOW_SPEC, "seeds?": ANY},
     "lstm_layers": [dict.fromkeys(("W_input", "W_hidden", "b_input", "b_hidden"),
                                   [ANY])],
     "fc_layers": [{"weights": [ANY], "bias": [ANY],
@@ -373,7 +371,7 @@ def load_checkpoint(path) -> Network:
     try:
         net = Network(lstm_layers=[layer(LstmLayerParams, l) for l in doc["lstm_layers"]],
                       fc_layers=[layer(FcLayerParams, l) for l in doc["fc_layers"]],
-                      meta=doc.get("meta") or {})
+                      meta=doc["meta"])
     except (TypeError, ValueError) as exc:
         raise DomainError(f"malformed checkpoint {path}: {exc!r}") from exc
     if count_params(net) != doc["param_count"]:
@@ -382,7 +380,7 @@ def load_checkpoint(path) -> Network:
     if not all(np.all(np.isfinite(p)) for p in net.parameters()):
         raise DomainError(f"checkpoint {path} has a non-finite parameter")
     for key, size in (("r", net.input_size), ("m", net.output_size)):
-        if net.meta.get(key, size) != size:
+        if net.meta[key] != size:
             raise DomainError(f"checkpoint {path}: meta {key} is {net.meta[key]}, "
                               f"but the network's size is {size}")
     return net

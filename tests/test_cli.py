@@ -172,6 +172,34 @@ class TestPipeline:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error:")
 
+    def test_predict_rejects_long_wave(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        run_dir = root / "sim" / "campaign"
+        wave = TimeSeries.load_csv(run_dir / "WC2_wave.csv")
+        long = tmp_path / "long_wave.csv"
+        wave.with_values(np.append(wave.values, 0.0)).save_csv(long)
+        code = main(["predict",
+                     "--checkpoint", str(root / "model" / "checkpoint.json"),
+                     "--motion", str(run_dir / "WC2_heave.csv"),
+                     "--wave", str(long), "--anchor", "200",
+                     "--output", str(tmp_path / "forecast.csv")])
+        assert "equal length" in one_error_line(code, capsys)
+        assert not (tmp_path / "forecast.csv").exists()
+
+    @pytest.mark.parametrize("anchor", [11, 898])
+    def test_predict_rejects_anchor_without_a_window(self, workspace, tmp_path,
+                                                     capsys, anchor):
+        """903 samples, n = 12, m = w = 6: anchors 12 to 897 have a window."""
+        root, _ = workspace
+        run_dir = root / "sim" / "campaign"
+        code = main(["predict",
+                     "--checkpoint", str(root / "model" / "checkpoint.json"),
+                     "--motion", str(run_dir / "WC2_heave.csv"),
+                     "--wave", str(run_dir / "WC2_wave.csv"),
+                     "--anchor", str(anchor), "--output", str(tmp_path / "forecast.csv")])
+        assert one_error_line(code, capsys).endswith(
+            f"anchor {anchor} outside valid range [12, 897]")
+
     @pytest.mark.parametrize("resampled", ["motion", "wave"])
     def test_predict_rejects_mismatched_sampling(self, workspace, tmp_path,
                                                  capsys, resampled):
@@ -262,6 +290,43 @@ class TestPipeline:
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("anchor", ["12.7", "-3"])
+    def test_evaluate_rejects_anchor_that_is_not_a_window_index(
+            self, workspace, tmp_path, capsys, anchor):
+        root, _ = workspace
+        src = root / "data" / "test.csv"
+        lines = src.read_text().splitlines()
+        assert lines[1].startswith("12,")
+        lines[1] = anchor + lines[1][2:]
+        dataset = tmp_path / "test.csv"
+        dataset.write_text("\n".join(lines) + "\n")
+        shutil.copy(src.with_suffix(".csv.manifest.json"),
+                    dataset.with_suffix(".csv.manifest.json"))
+        code = main(["evaluate",
+                     "--checkpoint", str(root / "model" / "checkpoint.json"),
+                     "--dataset", str(dataset), "--output", str(tmp_path / "eval")])
+        assert "column p must hold whole numbers" in one_error_line(code, capsys)
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("argv", [
+        "predict --checkpoint {model} --motion {motion} --wave {wave} --output {dir}",
+        "predict --checkpoint {model} --motion {dir} --wave {wave} --output {dir}/f.csv",
+        "evaluate --checkpoint {model} --dataset {dataset} --output {file}",
+        "build-dataset --config {config} --campaign {campaign} --output {file}",
+        "simulate --config {config} --output {file}",
+        "report --output-dir {file}",
+    ], ids=["predict_output_dir", "predict_motion_dir", "evaluate_output_file",
+            "build_dataset_output_file", "simulate_output_file", "report_output_file"])
+    def test_os_error_ends_in_one_line(self, workspace, tmp_path, capsys, argv):
+        root, config = workspace
+        run_dir = root / "sim" / "campaign"
+        (tmp_path / "file").write_text("")
+        paths = dict(model=root / "model" / "checkpoint.json", campaign=run_dir,
+                     motion=run_dir / "WC2_heave.csv", wave=run_dir / "WC2_wave.csv",
+                     dataset=root / "data" / "test.csv", config=config,
+                     dir=tmp_path, file=tmp_path / "file")
+        one_error_line(main(argv.format(**paths).split()), capsys)
 
     @pytest.mark.parametrize("defect", [
         lambda meta: meta.update(n="12"),

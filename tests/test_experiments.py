@@ -230,13 +230,13 @@ class TestRunners:
     def test_example2_windows_training_set_once(self, campaign, tmp_path,
                                                monkeypatch):
         roles = []
-        windowed_run = dataset._windowed_run
+        build_pairs = dataset.build_pairs
 
-        def counting(run, *args):
-            roles.append(run.condition.dataset_role)
-            return windowed_run(run, *args)
+        def counting(*args, **kwargs):
+            roles.append(kwargs["role"])
+            return build_pairs(*args, **kwargs)
 
-        monkeypatch.setattr(dataset, "_windowed_run", counting)
+        monkeypatch.setattr(dataset, "build_pairs", counting)
         config = tiny_config(example_id=2, max_epochs=0, test_noise_levels=[0.0, 0.3],
                              output_dir=str(tmp_path / "runs"))
         run_experiment(config, campaign)

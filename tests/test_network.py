@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
+from semisub_motion.dataset import CHANNELS
 from semisub_motion.errors import DomainError
 from semisub_motion.network import (FcLayerParams, LstmLayerParams, Network,
                                     backward, count_params, forward,
                                     init_network, load_checkpoint,
                                     lstm_forward, mse_loss, save_checkpoint)
+
+
+def window_meta(r, m):
+    """A complete checkpoint ``meta`` for a network of input size r and output size m."""
+    return {"channel": "heave", "n": 6, "m": m, "w": 2, "r": r, "dt": 0.5,
+            "norm": {"A": dict.fromkeys(CHANNELS, 0.0), "B": dict.fromkeys(CHANNELS, 1.0)}}
 
 
 def zero_layer(r, H):
@@ -258,13 +265,13 @@ class TestCountParams:
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         net = init_network(2, [4, 3], 2, 5, 3, seed=17)
-        net.meta = {"channel": "heave", "n": 6, "m": 3, "w": 2}
+        net.meta = window_meta(2, 3)
         path = tmp_path / "net.json"
         save_checkpoint(net, path)
         loaded = load_checkpoint(path)
         for a, b in zip(net.parameters(), loaded.parameters()):
             assert np.array_equal(a, b)
-        assert loaded.meta["channel"] == "heave"
+        assert loaded.meta == net.meta
 
     def test_declared_count_in_header(self, tmp_path):
         import json
@@ -277,12 +284,13 @@ class TestCheckpoint:
     def test_mismatched_count_rejected(self, tmp_path):
         import json
         net = init_network(1, [2], 1, 2, 2, seed=0)
+        net.meta = window_meta(1, 2)
         path = tmp_path / "bad.json"
         save_checkpoint(net, path)
         doc = json.loads(path.read_text())
         doc["param_count"] += 1
         path.write_text(json.dumps(doc))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="declares 53 parameters, found 52"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("doc", [
@@ -299,16 +307,18 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert "\n" not in str(info.value)
 
-    @pytest.mark.parametrize("defect", [
-        lambda doc: doc["lstm_layers"][0]["W_input"][0].__setitem__(0, float("nan")),
-        lambda doc: [row.pop() for row in doc["fc_layers"][0]["weights"]],
-        lambda doc: doc["meta"].update(r=1),
-        lambda doc: doc["meta"].update(m=3),
+    @pytest.mark.parametrize("defect, message", [
+        (lambda doc: doc["lstm_layers"][0]["W_input"][0].__setitem__(0, float("nan")),
+         "non-finite parameter"),
+        (lambda doc: [row.pop() for row in doc["fc_layers"][0]["weights"]],
+         "do not feed layer inputs"),
+        (lambda doc: doc["meta"].update(r=1), "meta r is 1, but the network's size is 2"),
+        (lambda doc: doc["meta"].update(m=3), "meta m is 3, but the network's size is 2"),
     ], ids=["nan_weight", "layers_do_not_chain", "meta_r", "meta_m"])
-    def test_inconsistent_checkpoint_rejected(self, tmp_path, defect):
+    def test_inconsistent_checkpoint_rejected(self, tmp_path, defect, message):
         import json
         net = init_network(2, [3], 1, 4, 2, seed=0)
-        net.meta = {"r": 2, "m": 2}
+        net.meta = window_meta(2, 2)
         path = tmp_path / "net.json"
         save_checkpoint(net, path)
         doc = json.loads(path.read_text())
@@ -317,14 +327,14 @@ class TestCheckpoint:
                                  for layer in doc[layers] for k, v in layer.items()
                                  if k != "activation")
         path.write_text(json.dumps(doc))
-        with pytest.raises(DomainError) as info:
+        with pytest.raises(DomainError, match=message) as info:
             load_checkpoint(path)
         assert "\n" not in str(info.value)
 
     def test_file_lists_each_layer_field_in_order(self, tmp_path):
         import json
         net = init_network(2, [4, 3], 1, 5, 3, seed=4)
-        net.meta = {"r": 2, "m": 3}
+        net.meta = window_meta(2, 3)
         path = tmp_path / "net.json"
         save_checkpoint(net, path)
         doc = json.loads(path.read_text())

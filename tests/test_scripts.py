@@ -37,13 +37,27 @@ def test_example_script_writes_its_summaries(tmp_path, example):
         assert lines[0] == SUMMARY_HEADER and len(lines) >= 2
 
 
+def written_tree(out: Path) -> dict:
+    """Every file under ``out`` by relative path, its bytes as written, but
+    each ``run.log`` without its ``elapsed_s`` line."""
+    tree = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "run.log":
+            data = b"".join(line for line in data.splitlines(keepends=True)
+                            if not line.startswith(b"elapsed_s "))
+        tree[str(path.relative_to(out))] = data
+    return tree
+
+
 def test_write_outputs_writes_every_output_file(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "write_outputs.py"), str(tmp_path / "out")],
-        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=600)
-    assert done.returncode == 0, done.stderr
+    for name in ("out", "again"):
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "write_outputs.py"), str(tmp_path / name)],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
     out = tmp_path / "out"
     for example in (1, 2, 3):
         for name in ("training.csv", "history.csv", "summary.csv", "forecast_last.csv",
@@ -54,3 +68,7 @@ def test_write_outputs_writes_every_output_file(tmp_path):
     assert report[0] == "source," + SUMMARY_HEADER
     sources = {line.split(",")[0].split("/")[0] for line in report[1:]}
     assert sources == {"example1_heave", "example2_heave", "example2_surge", "example3_heave"}
+    # a second process writes the same bytes, but for the time each sweep took
+    tree, again = written_tree(out), written_tree(tmp_path / "again")
+    assert sorted(tree) == sorted(again)
+    assert [name for name in tree if tree[name] != again[name]] == []
