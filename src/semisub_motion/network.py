@@ -32,6 +32,12 @@ Gradients are computed by exact backpropagation through time; no autodiff
 framework is involved.  The reverse loop does only the elementwise work
 and the recurrent ``da @ W_hidden`` product; the weight, bias and input
 gradients are single GEMMs or reductions over all steps after it.
+
+The kernel follows its inputs' dtype: every buffer ``lstm_forward``,
+``_lstm_backward`` and ``backward`` allocate takes the dtype of the arrays
+they are given, so a float32 network fed float32 windows computes in
+float32 throughout and float64 stays float64.  ``Network.astype`` makes a
+copy of a network in another dtype.
 """
 
 from __future__ import annotations
@@ -46,8 +52,9 @@ from .dataset import WINDOW_SPEC
 from .errors import (ANY, DomainError, NumericalError, at_least, one_of,
                      read_document)
 
-# Windows per forward call when scoring a dataset: bounds its (n, rows, 4H) gates
-INFERENCE_ROWS = 4096
+# Windows per forward call when scoring a dataset: bounds its (n, rows, 4H) gates.
+# forward's bits depend on the batch, so this value is part of every score.
+INFERENCE_ROWS = 512
 CHECKPOINT_VERSION = 1
 CHECKPOINT_TABLE = {
     "architecture?": ANY, "param_count": at_least(1),
@@ -59,11 +66,11 @@ CHECKPOINT_TABLE = {
 }
 
 
-def _gate_affine(H: int) -> tuple[np.ndarray, np.ndarray]:
+def _gate_affine(H: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Per-column scale s and shift 1 - s over the stacked (i, f, g, o)
     gates: s * tanh(s * a) + (1 - s) is the sigmoid where s = 1/2 and tanh
     where s = 1."""
-    scale = np.full(4 * H, 0.5)
+    scale = np.full(4 * H, 0.5, dtype=dtype)
     scale[2 * H:3 * H] = 1.0
     return scale, 1.0 - scale
 
@@ -144,6 +151,14 @@ class Network:
         return [value for layer in self.lstm_layers + self.fc_layers
                 for value in vars(layer).values() if isinstance(value, np.ndarray)]
 
+    def astype(self, dtype) -> "Network":
+        """A copy whose every parameter array is ``dtype``; ``meta`` is shared."""
+        def cast(layer):
+            return type(layer)(**{k: v.astype(dtype) if isinstance(v, np.ndarray) else v
+                                  for k, v in vars(layer).items()})
+        return Network(lstm_layers=[cast(l) for l in self.lstm_layers],
+                       fc_layers=[cast(l) for l in self.fc_layers], meta=self.meta)
+
 
 def init_network(input_size: int, hidden_sizes: list[int], fc_count: int,
                  fc_width: int, output_size: int, seed: int = 0) -> Network:
@@ -187,19 +202,20 @@ def lstm_forward(layer: LstmLayerParams, inputs: np.ndarray,
     H = layer.hidden_size
     if r != layer.input_size:
         raise DomainError(f"input feature count {r} != layer input size {layer.input_size}")
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
     keep = cache is not None
     # time-major pre-activations; the loop turns each step into its gates
     gates = inputs.transpose(1, 0, 2) @ layer.W_input.T  # (n, B, 4H)
     gates += layer.b_input + layer.b_hidden
-    scale, shift = _gate_affine(H)
+    dtype = gates.dtype
+    h = np.zeros((B, H), dtype)
+    c = np.zeros((B, H), dtype)
+    scale, shift = _gate_affine(H, dtype)
     W_hidden_T = layer.W_hidden.T
-    hs = np.empty((n, B, H))
+    hs = np.empty((n, B, H), dtype)
     if keep:
-        c_seq = np.empty((n + 1, B, H))
+        c_seq = np.empty((n + 1, B, H), dtype)
         c_seq[0] = c
-        tanh_c = np.empty((n, B, H))
+        tanh_c = np.empty((n, B, H), dtype)
     for t in range(n):
         a = gates[t]
         a += h @ W_hidden_T
@@ -229,11 +245,11 @@ def _lstm_backward(layer: LstmLayerParams, cache: dict,
     hs = cache["hs"].transpose(1, 0, 2)
     gates, c_seq, tanh_c = cache["gates"], cache["c"], cache["tanh_c"]
     n, B, H = hs.shape
-    scale, shift = _gate_affine(H)
+    scale, shift = _gate_affine(H, gates.dtype)
     scale_sq = scale**2
     da = np.empty_like(gates)
-    dh_rec = np.zeros((B, H))
-    dc_rec = np.zeros((B, H))
+    dh_rec = np.zeros((B, H), gates.dtype)
+    dc_rec = np.zeros((B, H), gates.dtype)
     for t in range(n - 1, -1, -1):
         a = gates[t]
         i, f, g, o = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
@@ -325,7 +341,7 @@ def backward(net: Network, X: np.ndarray, Y: np.ndarray
     # gradient reaches the last LSTM layer only at the final time step
     n = X.shape[1]
     H_top = net.lstm_layers[-1].hidden_size
-    dh_seq = np.zeros((n, B, H_top))
+    dh_seq = np.zeros((n, B, H_top), d.dtype)
     dh_seq[-1] = d
     for k in range(len(net.lstm_layers) - 1, -1, -1):
         layer_grads, dh_seq = _lstm_backward(net.lstm_layers[k], lstm_caches[k], dh_seq)

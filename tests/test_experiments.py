@@ -10,6 +10,7 @@ from semisub_motion.experiments import (EXAMPLE2_TRAINING_IDS,
                                         get_campaign, run_experiment,
                                         save_history, select_runs, train_cell)
 from semisub_motion.metrics import SUMMARY_HEADER
+from semisub_motion.network import init_network, load_checkpoint, save_checkpoint
 from semisub_motion.training import EpochRecord, TrainingConfig
 from semisub_motion.vessel import generate_campaign
 from support import overfit_gap
@@ -172,6 +173,21 @@ class TestTrainCell:
         b = train_cell(campaign, config, config.n, config.m, config.w)
         assert a.history[-1].train_loss == b.history[-1].train_loss
         assert a.test_report.accuracy.summary == b.test_report.accuracy.summary
+
+    def test_trained_weights_are_float64_float32_roundings(self, campaign, tmp_path):
+        """Training runs in float32; the network it returns is float64, holds
+        exactly float32-rounded weights and round-trips through a checkpoint."""
+        config = tiny_config(max_epochs=1)
+        cell = train_cell(campaign, config, config.n, config.m, config.w)
+        params = cell.net.parameters()
+        assert {p.dtype for p in params} == {np.dtype(np.float64)}
+        assert all(np.array_equal(p, p.astype(np.float32)) for p in params)
+        save_checkpoint(cell.net, tmp_path / "checkpoint.json")
+        loaded = load_checkpoint(tmp_path / "checkpoint.json")
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.parameters(), params))
+        # the float64 BPTT gradient checks start from a float64 network
+        fresh = init_network(2, config.lstm_hidden, 1, 8, config.m, seed=0)
+        assert {p.dtype for p in fresh.parameters()} == {np.dtype(np.float64)}
 
 
 class TestHistoryIO:

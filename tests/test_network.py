@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from semisub_motion import network
 from semisub_motion.dataset import CHANNELS
 from semisub_motion.errors import DomainError
 from semisub_motion.network import (FcLayerParams, LstmLayerParams, Network,
                                     backward, count_params, forward,
                                     init_network, load_checkpoint,
                                     lstm_forward, mse_loss, save_checkpoint)
+from semisub_motion.training import AdamState, adam_step
 
 
 def window_meta(r, m):
@@ -235,6 +237,46 @@ class TestBackward:
         Y = rng.normal(size=(B, 2))
         _, grads = backward(net, X, Y)
         assert max_norm_rel_error(grads, fd_gradients(net, X, Y)) < 1e-5
+
+    def test_kernel_keeps_the_inputs_dtype(self, monkeypatch):
+        """A float32 network on float32 windows stays float32 through the
+        forward pass, every buffer the kernel allocates, every gradient and
+        Adam's moments; float64 stays float64, and on the same weights the
+        two agree within float32 rounding.  A float64 buffer in a float32 step
+        would keep every value right and silently compute in float64."""
+        allocated = []
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                make = getattr(np, name)
+                if name not in ("zeros", "empty", "empty_like", "full"):
+                    return make
+
+                def recorded(*args, **kwargs):
+                    buffer = make(*args, **kwargs)
+                    allocated.append(buffer.dtype)
+                    return buffer
+                return recorded
+
+        monkeypatch.setattr(network, "np", RecordingNumpy())
+        rng = np.random.default_rng(16)
+        net = init_network(2, [8, 6], 1, 3, 3, seed=23).astype(np.float32)
+        X = rng.normal(size=(5, 7, 2)).astype(np.float32)
+        Y = rng.normal(size=(5, 3)).astype(np.float32)
+        grads = {}
+        for dtype in (np.float32, np.float64):
+            cast = net.astype(dtype)
+            x, y = X.astype(dtype), Y.astype(dtype)
+            allocated.clear()
+            assert forward(cast, x).dtype == dtype
+            _, grads[dtype] = backward(cast, x, y)
+            assert allocated and set(allocated) == {np.dtype(dtype)}
+            state = AdamState.for_parameters(cast.parameters())
+            adam_step(cast.parameters(), grads[dtype], state, 0.01)
+            arrays = (grads[dtype] + cast.parameters() + state.first_moment
+                      + state.second_moment)
+            assert {a.dtype for a in arrays} == {np.dtype(dtype)}
+        assert max_norm_rel_error(grads[np.float32], grads[np.float64]) < 1e-3
 
 
 class TestCountParams:
