@@ -18,7 +18,10 @@ fully-connected layers and an affine output layer.
 The sigmoid is evaluated as 0.5 * (1 + tanh(x / 2)), which needs no masks
 and cannot overflow, so all four stacked gates of a step are activated by
 one tanh call with a per-column scale s (1/2 for i, f, o; 1 for g):
-gate = s * tanh(s * a) + (1 - s).
+gate = s * tanh(s * a) + (1 - s).  ``lstm_forward`` multiplies the rows of
+``W_input``, ``W_hidden`` and the summed bias by s before the products.
+Since s is a power of two this scaling is exact, so the products yield
+s * a bit for bit and no step scales its pre-activations.
 
 The kernel works time-major.  The input projection of every step is one
 GEMM into an (n, B, 4H) buffer that the time loop activates in place, so
@@ -30,8 +33,20 @@ time-major one.
 
 Gradients are computed by exact backpropagation through time; no autodiff
 framework is involved.  The reverse loop does only the elementwise work
-and the recurrent ``da @ W_hidden`` product; the weight, bias and input
-gradients are single GEMMs or reductions over all steps after it.
+and the recurrent ``da @ W_hidden`` product.  It writes each step's gate
+gradients over that step's spent gates, so the gate cache becomes ``da``
+and a cache serves one ``backward`` only.  The weight, bias and input
+gradients are single GEMMs or reductions over all steps after the loop;
+the bottom layer's input gradient is never formed.
+
+Both time loops write into preallocated buffers (``out=``), and a
+``Workspace`` holds those buffers and the caches.  ``training.train``
+passes one workspace to every ``backward`` call and to its per-epoch test
+loss, so each step after the first reuses the same memory and allocates
+nothing batch-sized.  Without one, every call allocates its own buffers.  Buffers are sized by capacity,
+so a short last batch views the front of the same memory.  The loops
+evaluate every element in the same order as an allocating loop would, so
+reusing memory changes no bit.
 
 The kernel follows its inputs' dtype: every buffer ``lstm_forward``,
 ``_lstm_backward`` and ``backward`` allocate takes the dtype of the arrays
@@ -43,6 +58,7 @@ copy of a network in another dtype.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,13 +82,15 @@ CHECKPOINT_TABLE = {
 }
 
 
-def _gate_affine(H: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+def _gate_affine(ws: Workspace, B: int, H: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Per-column scale s and shift 1 - s over the stacked (i, f, g, o)
     gates: s * tanh(s * a) + (1 - s) is the sigmoid where s = 1/2 and tanh
-    where s = 1."""
-    scale = np.full(4 * H, 0.5, dtype=dtype)
-    scale[2 * H:3 * H] = 1.0
-    return scale, 1.0 - scale
+    where s = 1.  Both are (B, 4H), one row per window, so that applying
+    them to a step's gates is one contiguous pass rather than a broadcast."""
+    scale = ws.array("scale", (B, 4 * H), dtype)
+    scale[...] = 0.5
+    scale[:, 2 * H:3 * H] = 1.0
+    return scale, np.subtract(1.0, scale, out=ws.array("shift", (B, 4 * H), dtype))
 
 
 @dataclass
@@ -191,41 +209,82 @@ def init_network(input_size: int, hidden_sizes: list[int], fc_count: int,
     return Network(lstm_layers=lstm_layers, fc_layers=fc_layers)
 
 
+class Workspace:
+    """Buffers that repeated ``backward`` calls reuse, so that a training
+    step allocates nothing large after the first one.
+
+    Each name holds one flat array of the largest size asked for, and a
+    request views its first elements, so a smaller batch reuses the same
+    memory.  LSTM layer k keeps its own names in ``layer(k)``, because its
+    cache must outlive the layers above it.  An array's content lasts only
+    until the next request for its name.
+    """
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+        self._layers: dict[int, Workspace] = {}
+
+    def array(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialised ``shape`` array of ``dtype`` over buffer ``name``."""
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size or flat.dtype != dtype:
+            flat = self._flat[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+    def layer(self, k: int) -> Workspace:
+        if k not in self._layers:
+            self._layers[k] = Workspace()
+        return self._layers[k]
+
+
 def lstm_forward(layer: LstmLayerParams, inputs: np.ndarray,
-                 cache: dict | None = None) -> np.ndarray:
+                 cache: dict | None = None, *,
+                 workspace: Workspace | None = None) -> np.ndarray:
     """Run the gate recurrences over a batch of sequences from h = c = 0.
 
     ``inputs`` is (B, n, input_size); returns the hidden sequence (B, n, H)
     and fills ``cache``, when given, with the intermediates needed for BPTT.
+    With a ``workspace`` the returned sequence and the cache are views of
+    its buffers; without one they are freshly allocated.
     """
     B, n, r = inputs.shape
     H = layer.hidden_size
     if r != layer.input_size:
         raise DomainError(f"input feature count {r} != layer input size {layer.input_size}")
+    ws = Workspace() if workspace is None else workspace
     keep = cache is not None
-    # time-major pre-activations; the loop turns each step into its gates
-    gates = inputs.transpose(1, 0, 2) @ layer.W_input.T  # (n, B, 4H)
-    gates += layer.b_input + layer.b_hidden
-    dtype = gates.dtype
-    h = np.zeros((B, H), dtype)
-    c = np.zeros((B, H), dtype)
-    scale, shift = _gate_affine(H, dtype)
-    W_hidden_T = layer.W_hidden.T
-    hs = np.empty((n, B, H), dtype)
-    if keep:
-        c_seq = np.empty((n + 1, B, H), dtype)
-        c_seq[0] = c
-        tanh_c = np.empty((n, B, H), dtype)
+    dtype = np.result_type(inputs, layer.W_input)
+    scale, shift = _gate_affine(ws, B, H, dtype)
+    # s is 1/2 or 1, so pre-scaling the weights and bias scales the
+    # pre-activations exactly: s * a comes out of the products themselves
+    column = scale[0][:, None]
+    W_hidden_T = (layer.W_hidden * column).T
+    bias = np.multiply(layer.b_input + layer.b_hidden, scale,
+                       out=ws.array("bias", (B, 4 * H), dtype))
+    # time-major input projections; the loop turns each step into its gates
+    gates = np.matmul(inputs.transpose(1, 0, 2), (layer.W_input * column).T,
+                      out=ws.array("gates", (n, B, 4 * H), dtype))
+    hs = ws.array("hs", (n, B, H), dtype)
+    h = ws.array("h", (B, H), dtype)
+    h[...] = 0
+    rec = ws.array("rec", (B, 4 * H), dtype)
+    ig = ws.array("ig", (B, H), dtype)
+    # without a cache, the cell state and its tanh keep one row, rewritten each step
+    step = 1 if keep else 0
+    c_seq = ws.array("c", (step * n + 1, B, H), dtype)
+    c_seq[0] = 0
+    tanh_c = ws.array("tanh_c", (step * (n - 1) + 1, B, H), dtype)
     for t in range(n):
         a = gates[t]
-        a += h @ W_hidden_T
-        a *= scale
+        a += bias
+        a += np.matmul(h, W_hidden_T, out=rec)
         np.tanh(a, out=a)
         a *= scale
         a += shift
-        c = np.multiply(a[:, H:2 * H], c, out=c_seq[t + 1] if keep else None)
-        c += a[:, :H] * a[:, 2 * H:3 * H]
-        tc = np.tanh(c, out=tanh_c[t] if keep else None)
+        c = np.multiply(a[:, H:2 * H], c_seq[step * t], out=c_seq[step * (t + 1)])
+        c += np.multiply(a[:, :H], a[:, 2 * H:3 * H], out=ig)
+        tc = np.tanh(c, out=tanh_c[step * t])
         h = np.multiply(a[:, 3 * H:], tc, out=hs[t])
     hs = hs.transpose(1, 0, 2)
     if keep:
@@ -233,58 +292,77 @@ def lstm_forward(layer: LstmLayerParams, inputs: np.ndarray,
     return hs
 
 
-def _lstm_backward(layer: LstmLayerParams, cache: dict,
-                   dh_seq: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+def _lstm_backward(layer: LstmLayerParams, cache: dict, dh_seq: np.ndarray,
+                   ws: Workspace) -> list[np.ndarray]:
     """BPTT through one layer given time-major per-step hidden-state
-    gradients ``dh_seq`` (n, B, H).
+    gradients ``dh_seq`` (n, B, H); returns [dW_input, dW_hidden, db_input,
+    db_hidden].
 
-    Returns ([dW_input, dW_hidden, db_input, db_hidden], time-major dx
-    (n, B, input_size)).
+    Each step's gate gradients are written over that step's spent gates,
+    so afterwards ``cache["gates"]`` holds the time-major gate gradients
+    (n, B, 4H) and the cache cannot be differentiated again.
     """
     x = cache["inputs"].transpose(1, 0, 2)
     hs = cache["hs"].transpose(1, 0, 2)
-    gates, c_seq, tanh_c = cache["gates"], cache["c"], cache["tanh_c"]
+    da, c_seq, tanh_c = cache["gates"], cache["c"], cache["tanh_c"]
     n, B, H = hs.shape
-    scale, shift = _gate_affine(H, gates.dtype)
-    scale_sq = scale**2
-    da = np.empty_like(gates)
-    dh_rec = np.zeros((B, H), gates.dtype)
-    dc_rec = np.zeros((B, H), gates.dtype)
+    dtype = da.dtype
+    scale, shift = _gate_affine(ws, B, H, dtype)
+    scale_sq = np.square(scale, out=ws.array("scale_sq", (B, 4 * H), dtype))
+    dh, dc, dc_rec, dh_rec, scratch = (ws.array(name, (B, H), dtype) for name in
+                                       ("dh", "dc", "dc_rec", "dh_rec", "scratch"))
+    dh_rec[...] = 0
+    dc_rec[...] = 0
+    deriv = ws.array("deriv", (B, 4 * H), dtype)
     for t in range(n - 1, -1, -1):
-        a = gates[t]
-        i, f, g, o = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+        d = da[t]  # the step's gates, each overwritten by its gradient once read
+        i, f, g, o = d[:, :H], d[:, H:2 * H], d[:, 2 * H:3 * H], d[:, 3 * H:]
         tc = tanh_c[t]
-        dh = dh_seq[t] + dh_rec
-        dc = dh * o * (1.0 - tc**2) + dc_rec
-        d = da[t]
-        np.multiply(dc, g, out=d[:, :H])
-        np.multiply(dc, c_seq[t], out=d[:, H:2 * H])
-        np.multiply(dc, i, out=d[:, 2 * H:3 * H])
-        np.multiply(dh, tc, out=d[:, 3 * H:])
+        np.add(dh_seq[t], dh_rec, out=dh)
+        # dc = dh * o * (1 - tc^2) + dc_rec
+        np.square(tc, out=scratch)
+        np.subtract(1.0, scratch, out=scratch)
+        np.multiply(dh, o, out=dc)
+        dc *= scratch
+        dc += dc_rec
         # gate derivative s^2 - (gate - (1 - s))^2: i(1 - i) or 1 - g^2
-        d *= scale_sq - (a - shift)**2
-        dh_rec = d @ layer.W_hidden
-        dc_rec = dc * f
+        np.subtract(d, shift, out=deriv)
+        np.square(deriv, out=deriv)
+        np.subtract(scale_sq, deriv, out=deriv)
+        np.multiply(dc, f, out=dc_rec)
+        # o and f are read; i and g each feed the other's slot, so dc * g
+        # waits in scratch until dc * i has been formed over g
+        np.multiply(dh, tc, out=o)
+        np.multiply(dc, c_seq[t], out=f)
+        np.multiply(dc, g, out=scratch)
+        np.multiply(dc, i, out=g)
+        i[...] = scratch
+        d *= deriv
+        np.matmul(d, layer.W_hidden, out=dh_rec)
     rows = da.reshape(n * B, 4 * H)
     dW_x = rows.T @ x.reshape(n * B, -1)
     # forward() starts from h = 0, so step 0 adds nothing to dW_hidden
     dW_h = da[1:].reshape(-1, 4 * H).T @ hs[:-1].reshape(-1, H)
     db = rows.sum(axis=0)
-    dx = da @ layer.W_input
     # b_input and b_hidden enter every gate as a sum: identical gradients
-    return [dW_x, dW_h, db, db.copy()], dx
+    return [dW_x, dW_h, db, db.copy()]
 
 
-def forward(net: Network, X: np.ndarray, caches: list | None = None) -> np.ndarray:
-    """Predict a batch: X (B, n, r) or a single window (n, r) -> (B, m) / (m,)."""
+def forward(net: Network, X: np.ndarray, caches: list | None = None, *,
+            workspace: Workspace | None = None) -> np.ndarray:
+    """Predict a batch: X (B, n, r) or a single window (n, r) -> (B, m) / (m,).
+
+    LSTM layer k computes in ``workspace.layer(k)`` when a workspace is given.
+    """
     single = X.ndim == 2
     x = X[None] if single else X
     if x.shape[2] != net.input_size:
         raise DomainError(f"feature count {x.shape[2]} != network input size "
                           f"{net.input_size}")
-    for layer in net.lstm_layers:
+    ws = Workspace() if workspace is None else workspace
+    for k, layer in enumerate(net.lstm_layers):
         cache = {} if caches is not None else None
-        x = lstm_forward(layer, x, cache=cache)
+        x = lstm_forward(layer, x, cache=cache, workspace=ws.layer(k))
         if caches is not None:
             caches.append(cache)
     a = x[:, -1]  # last hidden state of the last LSTM layer
@@ -304,19 +382,22 @@ def mse_loss(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean((pred - truth) ** 2))
 
 
-def backward(net: Network, X: np.ndarray, Y: np.ndarray
-             ) -> tuple[float, list[np.ndarray]]:
+def backward(net: Network, X: np.ndarray, Y: np.ndarray, *,
+             workspace: Workspace | None = None) -> tuple[float, list[np.ndarray]]:
     """Loss and exact gradients of batch-mean MSE for a batch of windows.
 
     X is (B, n, r), Y is (B, m).  The gradient list mirrors
-    ``net.parameters()`` order.
+    ``net.parameters()`` order.  A ``workspace`` passed to every call of a
+    training loop holds the caches and work buffers, so that steps after
+    the first allocate nothing batch-sized; the gradients are fresh arrays.
     """
     if X.ndim != 3 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
         raise DomainError("expected X (B, n, r) and Y (B, m) with equal B")
     if X.shape[0] == 0:
         raise DomainError("empty batch")
+    ws = Workspace() if workspace is None else workspace
     caches: list = []
-    pred = forward(net, X, caches=caches)
+    pred = forward(net, X, caches=caches, workspace=ws)
     if not np.all(np.isfinite(pred)):
         raise NumericalError("non-finite activations in forward pass")
     B, m = pred.shape
@@ -340,12 +421,16 @@ def backward(net: Network, X: np.ndarray, Y: np.ndarray
 
     # gradient reaches the last LSTM layer only at the final time step
     n = X.shape[1]
-    H_top = net.lstm_layers[-1].hidden_size
-    dh_seq = np.zeros((n, B, H_top), d.dtype)
+    dh_seq = ws.array("dh_seq", (n, B, net.lstm_layers[-1].hidden_size), d.dtype)
+    dh_seq[:-1] = 0
     dh_seq[-1] = d
     for k in range(len(net.lstm_layers) - 1, -1, -1):
-        layer_grads, dh_seq = _lstm_backward(net.lstm_layers[k], lstm_caches[k], dh_seq)
-        grads[:0] = layer_grads
+        layer, cache = net.lstm_layers[k], lstm_caches[k]
+        grads[:0] = _lstm_backward(layer, cache, dh_seq, ws.layer(k))
+        if k > 0:  # the layer below takes this input gradient; the bottom's is unused
+            # over the spent dh_seq, from the gate gradients left in the cache
+            dh_seq = np.matmul(cache["gates"], layer.W_input,
+                               out=ws.array("dh_seq", (n, B, layer.input_size), d.dtype))
     return loss, grads
 
 

@@ -9,7 +9,8 @@ import numpy as np
 from .dataset import WindowedDataset
 from .errors import (POSITIVE, ConfigurationError, DomainError, NumericalError,
                      Rule, at_least, check)
-from .network import INFERENCE_ROWS, Network, backward, forward, mse_loss
+from .network import (INFERENCE_ROWS, Network, Workspace, backward, forward,
+                      mse_loss)
 
 BETA1, BETA2 = 0.9, 0.999  # Adam's moment decay rates
 EPSILON = 1e-8             # floor of Adam's denominator
@@ -93,12 +94,14 @@ class EpochRecord:
     test_loss: float
 
 
-def dataset_loss(net: Network, ds: WindowedDataset) -> float:
-    """Full-dataset MSE evaluated in chunks of ``INFERENCE_ROWS``."""
+def dataset_loss(net: Network, ds: WindowedDataset, *,
+                 workspace: Workspace | None = None) -> float:
+    """Full-dataset MSE evaluated in chunks of ``INFERENCE_ROWS``, in the
+    buffers of ``workspace`` when given."""
     total = 0.0
     for start in range(0, len(ds), INFERENCE_ROWS):
         X, Y = ds.X[start:start + INFERENCE_ROWS], ds.Y[start:start + INFERENCE_ROWS]
-        total += mse_loss(forward(net, X), Y) * X.shape[0]
+        total += mse_loss(forward(net, X, workspace=workspace), Y) * X.shape[0]
     return total / len(ds)
 
 
@@ -122,6 +125,8 @@ def train(net: Network, training: WindowedDataset, test: WindowedDataset,
     state = AdamState.for_parameters(params)
     best_loss = np.inf
     best_params = [p.copy() for p in params]
+    # every step's caches and work buffers, and the test loss's; freed on return
+    workspace = Workspace()
     N = len(training)
     for epoch in range(config.max_epochs):
         lr = lr_schedule(epoch, config)
@@ -129,7 +134,8 @@ def train(net: Network, training: WindowedDataset, test: WindowedDataset,
         loss_sum = 0.0
         for start in range(0, N, config.batch_size):
             idx = perm[start:start + config.batch_size]
-            loss, grads = backward(net, training.X[idx], training.Y[idx])
+            loss, grads = backward(net, training.X[idx], training.Y[idx],
+                                   workspace=workspace)
             if not np.isfinite(loss):
                 exc = NumericalError(f"training diverged at epoch {epoch}")
                 exc.history = history
@@ -137,7 +143,7 @@ def train(net: Network, training: WindowedDataset, test: WindowedDataset,
             adam_step(params, grads, state, lr)
             loss_sum += loss * idx.size
         train_loss = loss_sum / N
-        test_loss = dataset_loss(net, test)
+        test_loss = dataset_loss(net, test, workspace=workspace)
         history.append(EpochRecord(epoch, lr, train_loss, test_loss))
         if test_loss < best_loss:
             best_loss = test_loss

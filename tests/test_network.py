@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,50 @@ class TestBackward:
                       + state.second_moment)
             assert {a.dtype for a in arrays} == {np.dtype(dtype)}
         assert max_norm_rel_error(grads[np.float32], grads[np.float64]) < 1e-3
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hidden", [[4], [4, 3]])
+    def test_reuse_is_exact_and_aliases_nothing(self, dtype, hidden):
+        """One workspace over batches of 7, 3 and 7 windows gives each call
+        the bits of a workspace-free call, and a later call leaves the
+        gradients an earlier one returned untouched.  A forward pass in the
+        same workspace, as a test loss between steps, is exact too."""
+        rng = np.random.default_rng(17)
+        net = init_network(2, hidden, 1, 3, 2, seed=24).astype(dtype)
+        workspace = network.Workspace()
+        returned = []
+        for B in (7, 3, 7):
+            X = rng.normal(size=(B, 5, 2)).astype(dtype)
+            Y = rng.normal(size=(B, 2)).astype(dtype)
+            loss, grads = backward(net, X, Y, workspace=workspace)
+            fresh_loss, fresh = backward(net, X, Y)
+            assert loss == fresh_loss
+            assert all(g.dtype == f.dtype and g.tobytes() == f.tobytes()
+                       for g, f in zip(grads, fresh, strict=True))
+            returned.append((grads, [g.copy() for g in grads]))
+            assert forward(net, X, workspace=workspace).tobytes() == forward(net, X).tobytes()
+        for grads, copies in returned:
+            assert all(np.array_equal(g, c) for g, c in zip(grads, copies, strict=True))
+
+    def test_steady_state_step_allocates_no_gate_buffer(self):
+        """With the workspace of an earlier call, a float32 B = 512 step
+        (n = 60, H = 50) peaks below one (n, B, 4H) gate buffer of fresh
+        memory.  numpy reports its data buffers to tracemalloc."""
+        rng = np.random.default_rng(18)
+        net = init_network(2, [50], 3, 50, 20, seed=25).astype(np.float32)
+        X = rng.normal(size=(512, 60, 2)).astype(np.float32)
+        Y = rng.normal(size=(512, 20)).astype(np.float32)
+        workspace = network.Workspace()
+        backward(net, X, Y, workspace=workspace)
+        tracemalloc.start()
+        try:
+            backward(net, X, Y, workspace=workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * 512 * 4 * 50 * np.dtype(np.float32).itemsize
 
 
 class TestCountParams:
