@@ -6,10 +6,13 @@
 Under OUT_DIR: the campaign; for examples 1-3 a built dataset, a trained
 model, its evaluation on both sets and forecasts at the default anchor and at
 anchor 200; sweeps of examples 1 (heave), 2 (heave and surge) and 3 under
-``runs``; and the report over those sweeps.  The script works inside OUT_DIR
-and gives every path relative to it, so no file holds OUT_DIR itself.  Two
-trees written by two versions of the code compare with ``diff -r``: at equal
-outputs they differ only in ``elapsed_s`` inside each ``run.log``.
+``runs``; and the report over those sweeps.  As in the default grids, both
+the example-1 and the example-3 grids list a cell in more than one sweep, so
+the trees also cover a sweep reusing a cell it trained already.  The script
+works inside OUT_DIR and gives every path relative to it, so no file holds
+OUT_DIR itself.  Two trees written by two versions of the code compare with
+``diff -r``: at equal outputs they differ only in ``elapsed_s`` inside each
+``run.log``.
 """
 
 import json
@@ -24,8 +27,8 @@ TINY = dict(
     noise_levels=[0.0, 0.3], test_noise_levels=[0.0, 0.3],
     lstm_hidden=[8], fc_count=1, fc_width=8,
     n_sweep=[10, 12], w_sweep=[0, 6], m_sweep=[6],
-    hidden_sweep=[8], lstm_layer_sweep=[1, 2],
-    fc_count_sweep=[1, 2], fc_width_sweep=[8],
+    hidden_sweep=[8, 30], lstm_layer_sweep=[1, 2],
+    fc_count_sweep=[1, 2, 3], fc_width_sweep=[8, 30],
     batch_size=128, max_epochs=2,
     duration=700.0, dt=0.775, anchor_stride=7)
 SWEEPS = [(1, "heave"), (2, "heave"), (2, "surge"), (3, "heave")]

@@ -20,9 +20,9 @@ from .dataset import (NormalizationConstants, build_pairs, load_dataset,
                       save_dataset, window_spec)
 from .errors import SemisubError
 from .experiments import (ExperimentConfig, aggregate_reports, cell_datasets,
-                          get_campaign, run_experiment, save_history, train_cell)
+                          get_campaign, run_experiment, save_cell, train_cell)
 from .metrics import evaluate, save_summaries, save_window_accuracies
-from .network import count_params, forward, load_checkpoint, save_checkpoint
+from .network import count_params, forward, load_checkpoint
 from .timeseries import TimeSeries, write_csv
 from .vessel import save_campaign
 
@@ -81,8 +81,7 @@ def cmd_train(args) -> int:
                       config.n, config.m, config.w)
     out = Path(args.output or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(cell.net, out / "checkpoint.json")
-    save_history(cell.history, out / "history.csv")
+    save_cell(cell, out)
     save_summaries([("training", cell.train_report), ("test", cell.test_report)],
                    out / "summary.csv")
     s = cell.test_report.accuracy.summary

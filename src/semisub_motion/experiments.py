@@ -10,7 +10,9 @@ Three experiment families are supported:
 
 One ``ExperimentConfig`` (a ``TrainingConfig``) describes a run; its
 ``example_id`` decides which inputs every cell reads, and a swept cell is
-the config with the swept fields replaced.
+the config with the swept fields replaced.  A sweep runner hands every
+``(config, n, m, w)`` cell of its sweeps to one ``train_cells`` call, which
+trains each distinct cell once; the runner writes a cell's files as it arrives.
 
 Every run is reproducible from the config: the campaign seed, network
 initialization seed, shuffle seed, and noise seed are independent fields.
@@ -135,10 +137,16 @@ def get_campaign(config: ExperimentConfig, directory=None) -> list[CampaignRun]:
 
 def select_runs(campaign: list[CampaignRun],
                 training_ids=None) -> list[CampaignRun]:
-    """Restrict training runs to ``training_ids``, keeping test runs."""
+    """Restrict training runs to ``training_ids``, keeping test runs; an id
+    that names no training run of the campaign is refused."""
     if training_ids is None:
         return campaign
     wanted = set(training_ids)
+    missing = wanted - {r.condition.id for r in campaign
+                        if r.condition.dataset_role == "training"}
+    if missing:
+        raise ConfigurationError(f"training_condition_ids {', '.join(sorted(missing))} "
+                                 "name no training run of the campaign")
     return [r for r in campaign
             if r.condition.dataset_role == "test" or r.condition.id in wanted]
 
@@ -190,8 +198,21 @@ def train_cell(campaign: list[CampaignRun], config: ExperimentConfig,
                       test_report=evaluate(net, test), norm=training.norm)
 
 
-def save_history(history: list[EpochRecord], path) -> None:
-    write_csv(path, "epoch,lr,train_loss,test_loss", map(astuple, history))
+def train_cells(campaign: list[CampaignRun], cells):
+    """Yield each ``(config, n, m, w)`` cell's result in order; equal cells train once."""
+    trained, results = [], []
+    for cell in cells:
+        if cell not in trained:
+            trained.append(cell)
+            results.append(train_cell(campaign, *cell))
+        yield results[trained.index(cell)]
+
+
+def save_cell(cell: CellResult, out: Path, prefix: str = "") -> None:
+    """A trained cell's epoch history and checkpoint, named ``prefix`` + file."""
+    write_csv(out / f"{prefix}history.csv", "epoch,lr,train_loss,test_loss",
+              map(astuple, cell.history))
+    save_checkpoint(cell.net, out / f"{prefix}checkpoint.json")
 
 
 def save_traces(net: Network, ds: WindowedDataset, path, count: int = 5) -> None:
@@ -210,22 +231,17 @@ def save_traces(net: Network, ds: WindowedDataset, path, count: int = 5) -> None
 def run_example1(config: ExperimentConfig, out: Path,
                  campaign: list[CampaignRun]) -> dict:
     """Wave-assisted prediction: sweeps over n, w, and m."""
-    results = {}
-
-    def run_cells(cells, tag):
-        rows = []
-        for (n, m, w) in cells:
-            cell = train_cell(campaign, config, n, m, w)
-            name = f"{tag}_n{n}_m{m}_w{w}"
-            rows.append((name, cell.test_report))
-            save_history(cell.history, out / f"{name}_history.csv")
-            save_checkpoint(cell.net, out / f"{name}_checkpoint.json")
-            results[name] = cell
-        save_summaries(rows, out / f"{tag}_{config.channel}_summary.csv")
-
-    run_cells([(n, config.m, config.w) for n in config.n_sweep], "time_window")
-    run_cells([(config.n, config.m, w) for w in config.w_sweep], "wave_lag")
-    run_cells([(3 * m, m, m) for m in config.m_sweep], "prediction_length")
+    cells = [("time_window", n, config.m, config.w) for n in config.n_sweep]
+    cells += [("wave_lag", config.n, config.m, w) for w in config.w_sweep]
+    cells += [("prediction_length", 3 * m, m, m) for m in config.m_sweep]
+    results, rows = {}, {tag: [] for tag, *_ in cells}
+    trained = train_cells(campaign, [(config, n, m, w) for _, n, m, w in cells])
+    for (tag, n, m, w), cell in zip(cells, trained):
+        name = f"{tag}_n{n}_m{m}_w{w}"
+        save_cell(cell, out, f"{name}_")
+        rows[tag].append((name, cell.test_report))
+        save_summaries(rows[tag], out / f"{tag}_{config.channel}_summary.csv")
+        results[name] = cell
 
     # trace CSVs for the headline cell, when it is part of the sweeps
     headline = f"time_window_n{config.n}_m{config.m}_w{config.w}"
@@ -242,8 +258,7 @@ def run_example2(config: ExperimentConfig, out: Path,
     """Noise robustness: one model trained on the noise-extended dataset."""
     n, m, w = config.n, config.m, config.w
     cell = train_cell(campaign, config, n, m, w)
-    save_history(cell.history, out / "history.csv")
-    save_checkpoint(cell.net, out / "checkpoint.json")
+    save_cell(cell, out)
 
     rows = []
     results = {"model": cell}
@@ -263,25 +278,18 @@ def run_example2(config: ExperimentConfig, out: Path,
 def run_example3(config: ExperimentConfig, out: Path,
                  campaign: list[CampaignRun]) -> dict:
     """Motion-only prediction: LSTM and FC architecture sweeps."""
-    results = {}
-
-    def run_cells(cells, tag):
-        rows = []
-        for name, cell_config in cells:
-            cell = train_cell(campaign, cell_config, config.n, config.m, 0)
-            rows += [(name + "_test", cell.test_report),
-                     (name + "_train", cell.train_report)]
-            results[name] = cell
-        save_summaries(rows, out / f"{tag}_{config.channel}_summary.csv")
-
-    run_cells([(f"lstm_layers{depth}_hidden{hidden}",
-                replace(config, lstm_hidden=[hidden] * depth, fc_count=3, fc_width=30))
-               for depth in config.lstm_layer_sweep
-               for hidden in config.hidden_sweep], "lstm_sweep")
-    run_cells([(f"fc_layers{count}_width{width}",
-                replace(config, lstm_hidden=[30], fc_count=count, fc_width=width))
-               for count in config.fc_count_sweep
-               for width in config.fc_width_sweep], "fc_sweep")
+    cells = [("lstm_sweep", f"lstm_layers{depth}_hidden{hidden}",
+              replace(config, lstm_hidden=[hidden] * depth, fc_count=3, fc_width=30))
+             for depth in config.lstm_layer_sweep for hidden in config.hidden_sweep]
+    cells += [("fc_sweep", f"fc_layers{count}_width{width}",
+               replace(config, lstm_hidden=[30], fc_count=count, fc_width=width))
+              for count in config.fc_count_sweep for width in config.fc_width_sweep]
+    results, rows = {}, {tag: [] for tag, *_ in cells}
+    trained = train_cells(campaign, [(c, config.n, config.m, 0) for *_, c in cells])
+    for (tag, name, _), cell in zip(cells, trained):
+        rows[tag] += [(name + "_test", cell.test_report), (name + "_train", cell.train_report)]
+        save_summaries(rows[tag], out / f"{tag}_{config.channel}_summary.csv")
+        results[name] = cell
     return results
 
 

@@ -533,6 +533,24 @@ class TestPipeline:
                      "--output", str(tmp_path / "out")])
         assert "WC2_wave.csv: dt 0.775" in one_error_line(code, capsys)
 
+    @pytest.mark.parametrize("flags", [
+        ["--set", "example_id=2"],
+        ["--set", 'training_condition_ids=["WC1","WC3"]']], ids=["example2", "set_ids"])
+    def test_training_conditions_missing_from_the_campaign(self, workspace, tmp_path,
+                                                          capsys, flags):
+        """WC3 dropped from the manifest: a run that trains on it is refused
+        rather than trained on the other conditions."""
+        root, config = workspace
+        campaign = tmp_path / "campaign"
+        shutil.copytree(root / "sim" / "campaign", campaign)
+        manifest = json.loads((campaign / "manifest.json").read_text())
+        manifest["runs"] = [r for r in manifest["runs"] if r["condition"]["id"] != "WC3"]
+        (campaign / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["build-dataset", "--config", str(config), *flags,
+                     "--campaign", str(campaign), "--output", str(tmp_path / "data")])
+        assert "WC3" in one_error_line(code, capsys)
+        assert not (tmp_path / "data").exists()
+
     def test_campaign_channels_share_one_start_time(self, workspace, tmp_path, capsys):
         root, config = workspace
         campaign = tmp_path / "campaign"

@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from semisub_motion import dataset
-from semisub_motion.errors import ConfigurationError
-from semisub_motion.experiments import (EXAMPLE2_TRAINING_IDS,
+from semisub_motion import dataset, experiments
+from semisub_motion.errors import ConfigurationError, NumericalError
+from semisub_motion.experiments import (EXAMPLE2_TRAINING_IDS, CellResult,
                                         ExperimentConfig, aggregate_reports,
                                         get_campaign, run_experiment,
-                                        save_history, select_runs, train_cell)
+                                        save_cell, select_runs, train_cell)
 from semisub_motion.metrics import SUMMARY_HEADER
 from semisub_motion.network import init_network, load_checkpoint, save_checkpoint
 from semisub_motion.training import EpochRecord, TrainingConfig
@@ -34,6 +34,38 @@ def tiny_config(**overrides):
 @pytest.fixture(scope="module")
 def campaign():
     return generate_campaign(base_seed=11, duration=700.0, dt=0.775)
+
+
+def count_trainings(monkeypatch, fail_at=None) -> list:
+    """Record every ``experiments.train_cell`` call's ``(config, n, m, w)``;
+    the ``fail_at``-th call raises as a diverging cell would."""
+    calls, real = [], experiments.train_cell
+
+    def counting(campaign, *cell):
+        calls.append(cell)
+        if len(calls) == fail_at:
+            raise NumericalError("training diverged at epoch 0")
+        return real(campaign, *cell)
+
+    monkeypatch.setattr(experiments, "train_cell", counting)
+    return calls
+
+
+def distinct(cells) -> bool:
+    return all(a != b for i, a in enumerate(cells) for b in cells[:i])
+
+
+def sharing_config(tmp_path, **overrides):
+    """Grids whose sweeps share cells, as the default ones do."""
+    return tiny_config(max_epochs=1, n=12, m=4, w=4, n_sweep=[10, 12, 10],
+                       w_sweep=[0, 4], m_sweep=[4], hidden_sweep=[8, 30],
+                       lstm_layer_sweep=[1], fc_count_sweep=[3], fc_width_sweep=[30],
+                       output_dir=str(tmp_path / "runs"), **overrides)
+
+
+def summary_names(out, tag) -> list[str]:
+    lines = (out / f"{tag}_heave_summary.csv").read_text().splitlines()
+    return [line.split(",")[0] for line in lines[1:]]
 
 
 class TestConfig:
@@ -143,6 +175,11 @@ class TestCampaignSelection:
     def test_select_runs_none_is_identity(self, campaign):
         assert select_runs(campaign, None) is campaign
 
+    def test_select_runs_refuses_missing_training_ids(self, campaign):
+        without = [r for r in campaign if r.condition.id not in ("WC3", "WC5")]
+        with pytest.raises(ConfigurationError, match="WC3, WC5"):
+            select_runs(without, ["WC1", "WC3", "WC5"])
+
 
 class TestTrainCell:
     def test_cell_trains_and_reports(self, campaign):
@@ -193,8 +230,9 @@ class TestTrainCell:
 class TestHistoryIO:
     def test_save_history_format(self, tmp_path):
         history = [EpochRecord(0, 0.01, 1.5, 1.6), EpochRecord(1, 0.01, 1.2, 1.3)]
-        path = tmp_path / "history.csv"
-        save_history(history, path)
+        net = init_network(2, [4], 1, 4, 3, seed=0)
+        save_cell(CellResult(net, history, None, None, None), tmp_path, "cell_")
+        path = tmp_path / "cell_history.csv"
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,lr,train_loss,test_loss"
         loaded = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -270,6 +308,48 @@ class TestRunners:
         assert len(lstm) == 1 + 2
         assert len(fc) == 1 + 2
         assert "lstm_layers1_hidden8" in results
+
+    def test_example1_trains_shared_cells_once(self, campaign, tmp_path, monkeypatch):
+        """(12, 4, 4) is in all three sweeps, and n=10 is listed twice."""
+        calls = count_trainings(monkeypatch)
+        run_experiment(sharing_config(tmp_path, example_id=1), campaign)
+        out = tmp_path / "runs" / "example1_heave"
+        assert distinct(calls) and len(calls) == 3
+        assert summary_names(out, "time_window") == [
+            "time_window_n10_m4_w4", "time_window_n12_m4_w4", "time_window_n10_m4_w4"]
+        assert summary_names(out, "wave_lag") == ["wave_lag_n12_m4_w0", "wave_lag_n12_m4_w4"]
+        assert summary_names(out, "prediction_length") == ["prediction_length_n12_m4_w4"]
+        for suffix in ("history.csv", "checkpoint.json"):
+            twins = {(out / f"{tag}_n12_m4_w4_{suffix}").read_bytes()
+                     for tag in ("time_window", "wave_lag", "prediction_length")}
+            assert len(twins) == 1
+
+    def test_example3_trains_shared_cells_once(self, campaign, tmp_path, monkeypatch):
+        """The [30]-LSTM + 3x30-FC network is in both sweeps."""
+        calls = count_trainings(monkeypatch)
+        run_experiment(sharing_config(tmp_path, example_id=3), campaign)
+        out = tmp_path / "runs" / "example3_heave"
+        assert distinct(calls) and len(calls) == 2
+        assert summary_names(out, "lstm_sweep") == [
+            "lstm_layers1_hidden8_test", "lstm_layers1_hidden8_train",
+            "lstm_layers1_hidden30_test", "lstm_layers1_hidden30_train"]
+        assert summary_names(out, "fc_sweep") == ["fc_layers3_width30_test",
+                                                  "fc_layers3_width30_train"]
+        lstm, fc = ((out / f"{tag}_heave_summary.csv").read_text().splitlines()[-2:]
+                    for tag in ("lstm_sweep", "fc_sweep"))
+        assert [row.split(",", 1)[1] for row in lstm] == [row.split(",", 1)[1] for row in fc]
+
+    def test_diverging_cell_keeps_earlier_cells_files(self, campaign, tmp_path,
+                                                      monkeypatch):
+        calls = count_trainings(monkeypatch, fail_at=2)
+        config = tiny_config(max_epochs=1, output_dir=str(tmp_path / "runs"))
+        with pytest.raises(NumericalError):
+            run_experiment(config, campaign)
+        assert len(calls) == 2
+        out = tmp_path / "runs" / "example1_heave"
+        assert (out / "time_window_n10_m6_w6_history.csv").is_file()
+        assert (out / "time_window_n10_m6_w6_checkpoint.json").is_file()
+        assert not (out / "time_window_n20_m6_w6_history.csv").exists()
 
     def test_aggregate_reports(self, campaign, tmp_path):
         config = tiny_config(example_id=2, max_epochs=1,
