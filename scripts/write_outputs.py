@@ -6,7 +6,9 @@
 Under OUT_DIR: the campaign; for examples 1-3 a built dataset, a trained
 model, its evaluation on both sets and forecasts at the default anchor and at
 anchor 200; sweeps of examples 1 (heave), 2 (heave and surge) and 3 under
-``runs``; and the report over those sweeps.  As in the default grids, both
+``runs``; and the report over those sweeps.  Example 3's model is built at
+anchor stride 1, so that its test set (886 windows) is scored in more than
+one ``training.INFERENCE_ROWS`` chunk.  As in the default grids, both
 the example-1 and the example-3 grids list a cell in more than one sweep, so
 the trees also cover a sweep reusing a cell it trained already.  The script
 works inside OUT_DIR and gives every path relative to it, so no file holds
@@ -48,7 +50,8 @@ def write_outputs(out: Path) -> None:
     campaign = Path("campaign")
     for example in (1, 2, 3):
         cell = Path(f"example{example}")
-        flags = ["--config", config, "--set", f"example_id={example}",
+        stride = ["--set", "anchor_stride=1"] if example == 3 else []
+        flags = ["--config", config, "--set", f"example_id={example}", *stride,
                  "--campaign", campaign, "--output", cell]
         run("build-dataset", *flags)
         run("train", *flags)

@@ -19,8 +19,9 @@ import numpy as np
 
 from .dataset import WindowedDataset
 from .errors import DomainError
-from .network import INFERENCE_ROWS, Network, forward
+from .network import Network
 from .timeseries import write_csv
+from .training import predict
 
 # A window counts as flat when its deviation area is this fraction of its
 # absolute scale (exactly zero for truly constant windows).
@@ -111,9 +112,7 @@ def evaluate(net: Network, ds: WindowedDataset) -> EvaluationReport:
     if net.output_size != ds.m:
         raise DomainError(f"network output size {net.output_size} != dataset m {ds.m}")
     A, B = ds.norm.A[ds.channel], ds.norm.B[ds.channel]
-    pred = np.empty((len(ds), ds.m))
-    for start in range(0, len(ds), INFERENCE_ROWS):
-        pred[start:start + INFERENCE_ROWS] = forward(net, ds.X[start:start + INFERENCE_ROWS])
+    pred = predict(net, ds.X)
     acc, kept = _scores(pred * B + A, ds.Y * B + A, ds.dt)
     if not kept.any():
         raise DomainError("every window was degenerate; nothing to summarize")

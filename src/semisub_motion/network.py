@@ -68,9 +68,6 @@ from .dataset import WINDOW_SPEC
 from .errors import (ANY, DomainError, NumericalError, at_least, one_of,
                      read_document)
 
-# Windows per forward call when scoring a dataset: bounds its (n, rows, 4H) gates.
-# forward's bits depend on the batch, so this value is part of every score.
-INFERENCE_ROWS = 512
 CHECKPOINT_VERSION = 1
 CHECKPOINT_TABLE = {
     "architecture?": ANY, "param_count": at_least(1),

@@ -1,4 +1,6 @@
-"""Adam optimization, learning-rate schedule, and the mini-batch training loop."""
+"""Adam optimization, learning-rate schedule, the mini-batch training loop, and
+``predict``: the one loop that forwards a whole dataset, for each epoch's test
+loss (``dataset_loss``) and for ``metrics.evaluate``'s scores."""
 
 from __future__ import annotations
 
@@ -9,9 +11,11 @@ import numpy as np
 from .dataset import WindowedDataset
 from .errors import (POSITIVE, ConfigurationError, DomainError, NumericalError,
                      Rule, at_least, check)
-from .network import (INFERENCE_ROWS, Network, Workspace, backward, forward,
-                      mse_loss)
+from .network import Network, Workspace, backward, forward, mse_loss
 
+# Windows per forward call when scoring a dataset: bounds its (n, rows, 4H) gates.
+# forward's bits depend on the batch, so this value is part of every score.
+INFERENCE_ROWS = 512
 BETA1, BETA2 = 0.9, 0.999  # Adam's moment decay rates
 EPSILON = 1e-8             # floor of Adam's denominator
 
@@ -94,15 +98,17 @@ class EpochRecord:
     test_loss: float
 
 
+def predict(net: Network, X: np.ndarray, *, workspace: Workspace | None = None) -> np.ndarray:
+    """X (N, n, r) -> (N, m), forwarded ``INFERENCE_ROWS`` windows at a time in one workspace."""
+    ws = Workspace() if workspace is None else workspace
+    return np.concatenate([forward(net, X[start:start + INFERENCE_ROWS], workspace=ws)
+                           for start in range(0, len(X), INFERENCE_ROWS)])
+
+
 def dataset_loss(net: Network, ds: WindowedDataset, *,
                  workspace: Workspace | None = None) -> float:
-    """Full-dataset MSE evaluated in chunks of ``INFERENCE_ROWS``, in the
-    buffers of ``workspace`` when given."""
-    total = 0.0
-    for start in range(0, len(ds), INFERENCE_ROWS):
-        X, Y = ds.X[start:start + INFERENCE_ROWS], ds.Y[start:start + INFERENCE_ROWS]
-        total += mse_loss(forward(net, X, workspace=workspace), Y) * X.shape[0]
-    return total / len(ds)
+    """Full-dataset MSE of ``predict``, in the buffers of ``workspace`` when given."""
+    return mse_loss(predict(net, ds.X, workspace=workspace), ds.Y)
 
 
 def train(net: Network, training: WindowedDataset, test: WindowedDataset,

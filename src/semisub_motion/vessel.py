@@ -176,7 +176,7 @@ def generate_campaign(conditions=DEFAULT_CONDITIONS, base_seed: int = 0,
     runs = []
     for k, cond in enumerate(conditions):
         seed = base_seed * 1000 + k
-        spectrum = SpectrumParams(Hs=cond.Hs, Tp=cond.Tp).calibrated()
+        spectrum = SpectrumParams(Hs=cond.Hs, Tp=cond.Tp)
         wave = synthesize_wave(spectrum, duration, dt, seed)
         runs.append(CampaignRun(condition=cond, wave=wave,
                                 heave=heave_response(wave, params),

@@ -16,7 +16,7 @@ the series from repeating within a 3 h record).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,14 +38,14 @@ BIN_COUNT = 256
 
 @dataclass(frozen=True)
 class SpectrumParams:
-    """JONSWAP parameters; ``alpha`` is derived by moment normalization."""
+    """JONSWAP parameters; ``alpha`` is set on construction by moment normalization."""
 
     Hs: float
     Tp: float
     gamma: float = 2.4
     tau_low: float = TAU_LOW
     tau_high: float = TAU_HIGH
-    alpha: float | None = None
+    alpha: float = field(init=False)
 
     def __post_init__(self):
         if not (self.Hs >= 0 and np.isfinite(self.Hs)):
@@ -56,14 +56,11 @@ class SpectrumParams:
             raise DomainError(f"gamma must be >= 1, got {self.gamma}")
         if not (self.tau_low > 0 and self.tau_high > 0):
             raise DomainError("shape parameters must be positive")
+        object.__setattr__(self, "alpha", calibrate_alpha(self))
 
     @property
     def omega_p(self) -> float:
         return 2.0 * np.pi / self.Tp
-
-    def calibrated(self) -> "SpectrumParams":
-        """Copy with alpha fixed by the m0 = Hs^2/16 normalization."""
-        return replace(self, alpha=calibrate_alpha(self))
 
 
 def _density_shape(omega: np.ndarray, params: SpectrumParams) -> np.ndarray:
@@ -84,8 +81,7 @@ def jonswap_density(omega, params: SpectrumParams) -> np.ndarray | float:
     w = np.asarray(omega, dtype=np.float64)
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise DomainError("omega must be finite and non-negative")
-    alpha = params.alpha if params.alpha is not None else calibrate_alpha(params)
-    out = alpha * params.Hs**2 * _density_shape(w, params)
+    out = params.alpha * params.Hs**2 * _density_shape(w, params)
     return float(out) if np.isscalar(omega) else out
 
 
@@ -95,8 +91,6 @@ def calibrate_alpha(params: SpectrumParams) -> float:
     The density is linear in alpha, so the normalization is a single
     quotient; no iteration is needed.
     """
-    if params.Hs <= 0:
-        raise DomainError("alpha calibration requires Hs > 0")
     wp = params.omega_p
     grid = np.linspace(CALIBRATION_BAND[0] * wp, CALIBRATION_BAND[1] * wp,
                        CALIBRATION_POINTS)
@@ -127,14 +121,12 @@ def synthesize_wave(params: SpectrumParams, duration: float, dt: float,
     t = dt * np.arange(n_samples)
     if params.Hs == 0:
         return TimeSeries(dt=dt, values=np.zeros(n_samples))
-
-    calibrated = params if params.alpha is not None else params.calibrated()
     edges = np.linspace(SYNTHESIS_BAND[0] * wp, omega_max, BIN_COUNT + 1)
     d_omega = np.diff(edges)
     rng = np.random.default_rng(seed)
     omegas = edges[:-1] + rng.uniform(0.0, 1.0, BIN_COUNT) * d_omega
     phases = rng.uniform(0.0, 2.0 * np.pi, BIN_COUNT)
-    amplitudes = np.sqrt(2.0 * jonswap_density(omegas, calibrated) * d_omega)
+    amplitudes = np.sqrt(2.0 * jonswap_density(omegas, params) * d_omega)
     values = (amplitudes[:, None] * np.cos(omegas[:, None] * t[None, :]
                                            + phases[:, None])).sum(axis=0)
     return TimeSeries(dt=dt, values=values)

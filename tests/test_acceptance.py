@@ -108,7 +108,7 @@ class TestCriterion3:
         seeds = range(20)
         worst_hs_err, worst_peak_bins = 0.0, 0.0
         for cond in DEFAULT_CONDITIONS:
-            params = SpectrumParams(Hs=cond.Hs, Tp=cond.Tp).calibrated()
+            params = SpectrumParams(Hs=cond.Hs, Tp=cond.Tp)
             waves = [synthesize_wave(params, DURATION, DT, seed=s)
                      for s in seeds]
             pooled_var = np.mean([w.values.var() for w in waves])

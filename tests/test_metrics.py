@@ -110,7 +110,7 @@ class TestEvaluate:
         ds = make_dataset(X, Y, m)
         net = init_network(1, [3], 1, 3, m, seed=0)
         import semisub_motion.metrics as metrics_mod
-        monkeypatch.setattr(metrics_mod, "forward", lambda _net, x: Y[:len(x)])
+        monkeypatch.setattr(metrics_mod, "predict", lambda _net, x: Y[:len(x)])
         report = evaluate(net, ds)
         assert np.allclose(report.accuracy.per_window, 1.0, atol=1e-12)
 
@@ -169,7 +169,7 @@ class TestEvaluate:
                           anchors=np.arange(9) * 3 + 40)
         net = init_network(1, [3], 1, 3, m, seed=0)
         import semisub_motion.metrics as metrics_mod
-        monkeypatch.setattr(metrics_mod, "forward", lambda _net, x: pred[:len(x)])
+        monkeypatch.setattr(metrics_mod, "predict", lambda _net, x: pred[:len(x)])
         report = evaluate(net, ds)
         kept = [k for k in range(9) if k != 3]
         expected = np.array([accuracy(pred[k], Y[k], 0.775) for k in kept])
@@ -214,7 +214,7 @@ def test_window_accuracy_csv_keeps_each_anchor_with_its_score(tmp_path, monkeypa
     ds = make_dataset(rng.normal(size=(4, 6, 1)), Y, m, anchors=np.arange(10, 14))
     net = init_network(1, [3], 1, 3, m, seed=0)
     import semisub_motion.metrics as metrics_mod
-    monkeypatch.setattr(metrics_mod, "forward", lambda _net, x: pred[:len(x)])
+    monkeypatch.setattr(metrics_mod, "predict", lambda _net, x: pred[:len(x)])
     report = evaluate(net, ds)
     path = tmp_path / "window_accuracy.csv"
     save_window_accuracies(report.accuracy, path)

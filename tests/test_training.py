@@ -3,9 +3,9 @@ import pytest
 
 from semisub_motion.dataset import NormalizationConstants, WindowedDataset
 from semisub_motion.errors import ConfigurationError, DomainError
-from semisub_motion.network import init_network
+from semisub_motion.network import Workspace, forward, init_network
 from semisub_motion.training import (AdamState, TrainingConfig, adam_step,
-                                     dataset_loss, lr_schedule, train)
+                                     dataset_loss, lr_schedule, predict, train)
 
 
 def toy_dataset(n_samples=400, n=8, m=3, seed=0, role="training"):
@@ -142,6 +142,22 @@ class TestTrain:
             channel=ds.channel, norm=ds.norm)
         assert dataset_loss(net, doubled) == pytest.approx(dataset_loss(net, ds),
                                                            rel=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_predict_is_forward_over_512_window_chunks(dtype):
+    # bit for bit, in the input's dtype, with a fresh workspace per call and
+    # with one workspace reused across calls; N = 1100 ends in a short chunk
+    net = init_network(2, [5], 1, 4, 3, seed=9).astype(dtype)
+    rng = np.random.default_rng(10)
+    reused = Workspace()
+    for N in (1, 511, 512, 513, 1100):
+        X = rng.normal(size=(N, 6, 2)).astype(dtype)
+        expected = np.concatenate([forward(net, X[s:s + 512]) for s in range(0, N, 512)])
+        for workspace in (None, reused, reused):
+            pred = predict(net, X, workspace=workspace)
+            assert pred.dtype == dtype and pred.shape == (N, 3)
+            assert np.array_equal(pred, expected)
 
 
 def test_config_validation():

@@ -15,7 +15,7 @@ DT = 0.775
 
 @pytest.fixture(scope="module")
 def wc3_wave():
-    params = SpectrumParams(Hs=13.4, Tp=14.7).calibrated()
+    params = SpectrumParams(Hs=13.4, Tp=14.7)
     return synthesize_wave(params, 10800.0, DT, seed=42)
 
 

@@ -14,7 +14,7 @@ WC_TABLE = [(13.4, 14.2), (13.4, 14.7), (13.4, 15.7),
 
 @pytest.fixture(scope="module")
 def params():
-    return SpectrumParams(Hs=13.4, Tp=14.7).calibrated()
+    return SpectrumParams(Hs=13.4, Tp=14.7)
 
 
 class TestJonswapDensity:
@@ -60,7 +60,7 @@ class TestJonswapDensity:
 
 class TestCalibrateAlpha:
     def test_pierson_moskowitz_moment(self):
-        p = SpectrumParams(Hs=1.0, Tp=10.0, gamma=1.0).calibrated()
+        p = SpectrumParams(Hs=1.0, Tp=10.0, gamma=1.0)
         integral, _ = quad(lambda w: jonswap_density(w, p), 1e-9,
                            10 * p.omega_p, limit=400)
         assert integral == pytest.approx(1.0 / 16, rel=1e-3)
@@ -75,9 +75,16 @@ class TestCalibrateAlpha:
         a_jonswap = calibrate_alpha(SpectrumParams(Hs=1.0, Tp=12.0, gamma=2.4))
         assert a_jonswap < a_pm
 
+    def test_alpha_is_calibrated_on_construction(self):
+        assert SpectrumParams(Hs=1.0, Tp=10.0).alpha == calibrate_alpha(
+            SpectrumParams(Hs=1.0, Tp=10.0))
+
+    def test_zero_sea_has_finite_alpha(self):
+        assert np.isfinite(SpectrumParams(Hs=0.0, Tp=14.7).alpha)
+
     @pytest.mark.parametrize("Hs,Tp", WC_TABLE)
     def test_moment_normalization_on_documented_grid(self, Hs, Tp):
-        p = SpectrumParams(Hs=Hs, Tp=Tp).calibrated()
+        p = SpectrumParams(Hs=Hs, Tp=Tp)
         wp = p.omega_p
         grid = np.linspace(0.05 * wp, 10 * wp, 40001)
         m0 = np.trapezoid(jonswap_density(grid, p), grid)
