@@ -3,14 +3,13 @@
 Subcommands: simulate, build-dataset, train, predict, evaluate, sweep,
 report.  Each reads an experiment config JSON (``--config``) whose fields
 can be overridden with ``--set key=value`` flags; outputs land under the
-configured output directory (or ``$SEMISUB_OUTPUT_ROOT`` when set).
+configured output directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -22,8 +21,9 @@ from .errors import SemisubError
 from .experiments import (ExperimentConfig, aggregate_reports, cell_datasets,
                           get_campaign, run_experiment, save_cell, train_cell)
 from .metrics import evaluate, save_summaries, save_window_accuracies
-from .network import count_params, forward, load_checkpoint
+from .network import count_params, load_checkpoint
 from .timeseries import TimeSeries, write_csv
+from .training import predict
 from .vessel import save_campaign
 
 
@@ -48,9 +48,6 @@ def _load_config(args) -> ExperimentConfig:
     if overrides:
         merged = {**json.loads(config.to_json()), **overrides}
         config = ExperimentConfig.from_dict(merged)
-    root = os.environ.get("SEMISUB_OUTPUT_ROOT")
-    if root:
-        config.output_dir = str(Path(root) / config.output_dir)
     return config
 
 
@@ -94,7 +91,7 @@ def cmd_predict(args) -> int:
     net = load_checkpoint(args.checkpoint)
     meta = net.meta
     n, m, w, channel = meta["n"], meta["m"], meta["w"], meta["channel"]
-    norm = NormalizationConstants.from_dict(meta["norm"])
+    norm = NormalizationConstants(**meta["norm"])
 
     def load(path):
         series = TimeSeries.load_csv(path)
@@ -117,7 +114,8 @@ def cmd_predict(args) -> int:
     if anchor not in ds.anchors:
         raise SemisubError(f"anchor {anchor} outside valid range "
                            f"[{ds.anchors[0]}, {ds.anchors[-1]}]")
-    pred = forward(net, ds.X[anchor - n]) * norm.B[channel] + norm.A[channel]
+    i = anchor - n
+    pred = ds.restore(predict(net, ds.X[i:i + 1])[0])
     write_csv(args.output, "time_s,value", zip(motion.times[anchor:anchor + m], pred))
     print(f"wrote {m}-step forecast to {args.output}")
     return 0

@@ -10,16 +10,17 @@ wave lag w) with a target Y of the next m motion samples:
 
 ``build_pairs`` owns this layout, for datasets and forecasts alike.  It
 standardizes channels by campaign-wide constants A (mean of per-run means)
-and B (mean of per-run standard deviations).  ``role_dataset`` builds each
-role's set.  Noise-extended sets add seeded Gaussian noise (std I * sigma of
-the clean series) to the inputs only; targets are windowed once, clean.
+and B (mean of per-run standard deviations); ``WindowedDataset.restore``
+undoes it on the motion channel.  ``role_dataset`` builds each role's set.
+Noise-extended sets add seeded Gaussian noise (std I * sigma of the clean
+series) to the inputs only; targets are windowed once, clean.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,13 +47,6 @@ class NormalizationConstants:
 
     A: dict[str, float]
     B: dict[str, float]
-
-    def to_dict(self) -> dict:
-        return {"A": dict(self.A), "B": dict(self.B)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormalizationConstants":
-        return cls(A=dict(d["A"]), B=dict(d["B"]))
 
 
 def compute_norm_constants(campaign: list[CampaignRun]) -> NormalizationConstants:
@@ -128,10 +122,14 @@ class WindowedDataset:
     def __len__(self) -> int:
         return self.X.shape[0]
 
+    def restore(self, values: np.ndarray) -> np.ndarray:
+        """Motion-channel values in physical units: the inverse of ``regularize``."""
+        return values * self.norm.B[self.channel] + self.norm.A[self.channel]
+
 
 def window_spec(ds: WindowedDataset) -> dict:
     """The ``WINDOW_SPEC`` values of a dataset's windows, in that table's order."""
-    return {key: ds.norm.to_dict() if key == "norm" else getattr(ds, key)
+    return {key: asdict(ds.norm) if key == "norm" else getattr(ds, key)
             for key in WINDOW_SPEC}
 
 
@@ -143,7 +141,6 @@ def pair_count(L: int, n: int, m: int, w: int) -> int:
 def build_pairs(motion: TimeSeries, wave: TimeSeries | None, n: int, m: int,
                 w: int, norm: NormalizationConstants | None = None,
                 channel: str = "heave", run_id: str = "run",
-                role: str = "training", noise_level: float = 0.0,
                 stride: int = 1, target: TimeSeries | None = None
                 ) -> WindowedDataset:
     """Standardize one run by ``norm`` (default: identity) and cut its
@@ -172,8 +169,7 @@ def build_pairs(motion: TimeSeries, wave: TimeSeries | None, n: int, m: int,
             regularize(wave, A["wave"], B["wave"]).values, n)[anchors - n + w])
     return WindowedDataset(X=np.stack(blocks, axis=2), Y=sliding_window_view(y, m)[anchors],
                            anchors=anchors, run_ids=[run_id] * len(anchors), n=n,
-                           m=m, w=w, channel=channel, norm=norm, role=role,
-                           noise_level=noise_level, dt=motion.dt)
+                           m=m, w=w, channel=channel, norm=norm, dt=motion.dt)
 
 
 def concat_datasets(parts: list[WindowedDataset]) -> WindowedDataset:
@@ -190,8 +186,7 @@ def concat_datasets(parts: list[WindowedDataset]) -> WindowedDataset:
         anchors=np.concatenate([p.anchors for p in parts]),
         run_ids=[rid for p in parts for rid in p.run_ids],
         n=first.n, m=first.m, w=first.w, channel=first.channel,
-        norm=first.norm, role=first.role, noise_level=first.noise_level,
-        dt=first.dt)
+        norm=first.norm, dt=first.dt)
 
 
 def role_dataset(campaign: list[CampaignRun], role: str, channel: str, n: int,
@@ -220,11 +215,10 @@ def role_dataset(campaign: list[CampaignRun], role: str, channel: str, n: int,
         build_pairs(noisy(run, channel, level),
                     noisy(run, "wave", level) if use_wave else None,
                     n, m, w, norm=norm, channel=channel, run_id=run.condition.id,
-                    role=role, noise_level=level, stride=stride,
-                    target=run.channel(channel))
+                    stride=stride, target=run.channel(channel))
         for run in runs for level in noise_levels
     ])
-    ds.noise_level = max(noise_levels)
+    ds.role, ds.noise_level = role, max(noise_levels)
     return ds
 
 
@@ -260,8 +254,8 @@ DATASET_TABLE = {**WINDOW_SPEC, "role": one_of("training", "test"),
 def save_dataset(ds: WindowedDataset, path) -> None:
     """CSV export: one sample per row, `p, X row-major (n x r), Y (m)`.
 
-    A sibling ``<path>.manifest.json`` records (n, m, w, r), the
-    normalization constants, and the noise level.
+    A sibling ``<path>.manifest.json`` records the ``window_spec``, the role,
+    the noise level and each sample's run id.
     """
     path = Path(path)
     x_cols = [f"x_{t}_{c}" for t in range(ds.n) for c in range(ds.r)]
@@ -269,12 +263,8 @@ def save_dataset(ds: WindowedDataset, path) -> None:
     write_csv(path, ",".join(["p"] + x_cols + y_cols),
               ([p, *x, *y] for p, x, y in zip(
                   ds.anchors, ds.X.reshape(len(ds), ds.n * ds.r).tolist(), ds.Y.tolist())))
-    manifest = {
-        "format_version": DATASET_VERSION, "n": ds.n, "m": ds.m, "w": ds.w, "r": ds.r,
-        "channel": ds.channel, "role": ds.role, "noise_level": ds.noise_level,
-        "dt": ds.dt, "norm": ds.norm.to_dict(), "samples": len(ds),
-        "run_ids": ds.run_ids,
-    }
+    manifest = {"format_version": DATASET_VERSION, **window_spec(ds), "role": ds.role,
+                "noise_level": ds.noise_level, "samples": len(ds), "run_ids": ds.run_ids}
     path.with_suffix(path.suffix + ".manifest.json").write_text(
         json.dumps(manifest, indent=2))
 
@@ -289,6 +279,9 @@ def load_dataset(path) -> WindowedDataset:
     if data.shape[0] != manifest["samples"]:
         raise DomainError(f"{path}: {data.shape[0]} rows, but the manifest "
                           f"declares {manifest['samples']} samples")
+    if len(manifest["run_ids"]) != manifest["samples"]:
+        raise DomainError(f"{path}: {len(manifest['run_ids'])} run ids, but the manifest "
+                          f"declares {manifest['samples']} samples")
     if data.shape[1] != 1 + n * r + m:
         raise DomainError(f"{path}: column count does not match manifest")
     if not np.all(np.isfinite(data)):
@@ -302,6 +295,6 @@ def load_dataset(path) -> WindowedDataset:
     return WindowedDataset(
         X=X, Y=Y, anchors=anchors, run_ids=list(manifest["run_ids"]),
         n=n, m=m, w=manifest["w"], channel=manifest["channel"],
-        norm=NormalizationConstants.from_dict(manifest["norm"]),
+        norm=NormalizationConstants(**manifest["norm"]),
         role=manifest["role"], noise_level=manifest["noise_level"],
         dt=manifest["dt"])

@@ -31,9 +31,9 @@ from .dataset import (NormalizationConstants, WindowedDataset, role_dataset,
                       split_campaign, window_spec)
 from .errors import POSITIVE, STR, ConfigurationError, at_least, one_of
 from .metrics import SUMMARY_HEADER, EvaluationReport, evaluate, save_summaries
-from .network import Network, forward, init_network, save_checkpoint
+from .network import Network, init_network, save_checkpoint
 from .timeseries import write_csv
-from .training import EpochRecord, TrainingConfig, train
+from .training import EpochRecord, TrainingConfig, predict, train
 from .vessel import (DEFAULT_CONDITIONS, FULL_SCALE_DT, FULL_SCALE_DURATION,
                      CampaignRun, generate_campaign, load_campaign)
 
@@ -216,16 +216,12 @@ def save_cell(cell: CellResult, out: Path, prefix: str = "") -> None:
 
 
 def save_traces(net: Network, ds: WindowedDataset, path, count: int = 5) -> None:
-    """Prediction-vs-truth traces for evenly spaced sample windows."""
+    """Prediction-vs-truth traces, in physical units, for evenly spaced sample windows."""
     idx = np.linspace(0, len(ds) - 1, count).astype(int)
-    A, B = ds.norm.A[ds.channel], ds.norm.B[ds.channel]
-    rows = []
-    for i in idx:
-        pred = forward(net, ds.X[i]) * B + A
-        truth = ds.Y[i] * B + A
-        p = int(ds.anchors[i])
-        rows += [(p, k, float((p + k) * ds.dt), truth[k], pred[k]) for k in range(ds.m)]
-    write_csv(path, "window_p,step,time_s,truth,prediction", rows)
+    truth, pred = ds.restore(ds.Y[idx]), ds.restore(predict(net, ds.X[idx]))
+    write_csv(path, "window_p,step,time_s,truth,prediction", (
+        (p, k, float((p + k) * ds.dt), truth[j, k], pred[j, k])
+        for j, p in enumerate(ds.anchors[idx].tolist()) for k in range(ds.m)))
 
 
 def run_example1(config: ExperimentConfig, out: Path,

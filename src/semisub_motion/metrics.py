@@ -105,15 +105,13 @@ def boxplot_stats(values) -> BoxplotSummary:
 def evaluate(net: Network, ds: WindowedDataset) -> EvaluationReport:
     """Score every window of a dataset in physical units.
 
-    Predictions and targets are deregularized with the dataset's motion
-    channel constants before scoring.  Degenerate flat-truth windows are
-    excluded; their fraction is reported.
+    ``training.predict`` forecasts every window, and ``ds.restore`` maps the
+    forecasts and targets back to physical units before scoring.  Degenerate
+    flat-truth windows are excluded; their fraction is reported.
     """
     if net.output_size != ds.m:
         raise DomainError(f"network output size {net.output_size} != dataset m {ds.m}")
-    A, B = ds.norm.A[ds.channel], ds.norm.B[ds.channel]
-    pred = predict(net, ds.X)
-    acc, kept = _scores(pred * B + A, ds.Y * B + A, ds.dt)
+    acc, kept = _scores(ds.restore(predict(net, ds.X)), ds.restore(ds.Y), ds.dt)
     if not kept.any():
         raise DomainError("every window was degenerate; nothing to summarize")
     per_window = acc[kept]

@@ -1,6 +1,6 @@
 """Adam optimization, learning-rate schedule, the mini-batch training loop, and
-``predict``: the one loop that forwards a whole dataset, for each epoch's test
-loss (``dataset_loss``) and for ``metrics.evaluate``'s scores."""
+``predict``: the one inference loop, behind each epoch's test loss, the scores
+of ``metrics.evaluate``, the sample traces and the CLI forecast."""
 
 from __future__ import annotations
 

@@ -227,7 +227,7 @@ class TestCriterion8:
         runs = select_runs(campaign, config.training_condition_ids)
         norm = cell.net.meta["norm"]
         from semisub_motion.dataset import NormalizationConstants
-        norm = NormalizationConstants.from_dict(norm)
+        norm = NormalizationConstants(**norm)
         medians = {}
         for level in (0.0, 0.8):
             _, test = split_campaign(runs, "heave", 60, 20, 20,

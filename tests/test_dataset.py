@@ -1,13 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semisub_motion.dataset import (add_noise, build_pairs,
+from semisub_motion.dataset import (NormalizationConstants, add_noise, build_pairs,
                                     compute_norm_constants,
                                     load_dataset, noise_seed, pair_count,
                                     regularize, role_dataset, save_dataset,
-                                    split_campaign)
+                                    split_campaign, window_spec)
 from semisub_motion.errors import (ConfigurationError, DegenerateDataError,
                                    DomainError)
 from semisub_motion.timeseries import TimeSeries
@@ -191,6 +193,16 @@ class TestBuildPairs:
         with pytest.raises(DomainError):
             build_pairs(series(np.arange(10, dtype=float)), None, n=8, m=5, w=0)
 
+    def test_restore_gives_back_raw_targets(self):
+        raw = 3.7 + 2.3 * np.sin(0.21 * np.arange(90))
+        norm = NormalizationConstants(A={"surge": 3.1, "wave": -0.4},
+                                      B={"surge": 0.45, "wave": 1.7})
+        ds = build_pairs(series(raw), series(np.cos(np.arange(90.0))), n=9, m=7, w=3,
+                         norm=norm, channel="surge", stride=2)
+        expected = np.stack([raw[p:p + 7] for p in ds.anchors])
+        assert not np.allclose(ds.Y, expected)
+        np.testing.assert_allclose(ds.restore(ds.Y), expected, rtol=1e-12, atol=0)
+
 
 class TestSplitCampaign:
     def test_default_split_roles(self, campaign):
@@ -273,4 +285,6 @@ class TestDatasetIO:
         assert np.array_equal(loaded.X, test.X)
         assert np.array_equal(loaded.Y, test.Y)
         assert (loaded.n, loaded.m, loaded.w, loaded.r) == (12, 6, 6, 2)
-        assert loaded.norm.A["heave"] == test.norm.A["heave"]
+        assert loaded.norm == test.norm
+        manifest = json.loads(path.with_suffix(".csv.manifest.json").read_text())
+        assert {k: manifest[k] for k in window_spec(test)} == window_spec(test)

@@ -7,11 +7,12 @@ from semisub_motion import dataset, experiments
 from semisub_motion.errors import ConfigurationError, NumericalError
 from semisub_motion.experiments import (EXAMPLE2_TRAINING_IDS, CellResult,
                                         ExperimentConfig, aggregate_reports,
-                                        get_campaign, run_experiment,
-                                        save_cell, select_runs, train_cell)
+                                        cell_datasets, get_campaign, run_experiment,
+                                        save_cell, save_traces, select_runs, train_cell)
 from semisub_motion.metrics import SUMMARY_HEADER
 from semisub_motion.network import init_network, load_checkpoint, save_checkpoint
-from semisub_motion.training import EpochRecord, TrainingConfig
+from semisub_motion.timeseries import load_rows
+from semisub_motion.training import EpochRecord, TrainingConfig, predict
 from semisub_motion.vessel import generate_campaign
 from support import overfit_gap
 
@@ -240,6 +241,24 @@ class TestHistoryIO:
         assert loaded[1, 2] == 1.2
 
 
+class TestTraces:
+    def test_rows_are_one_batched_forecast_in_physical_units(self, campaign, tmp_path):
+        config = tiny_config()
+        _, test = cell_datasets(campaign, config, config.n, config.m, config.w)
+        net = init_network(test.r, [8], 1, 8, test.m, seed=4)
+        save_traces(net, test, tmp_path / "traces.csv")
+        with open(tmp_path / "traces.csv") as f:
+            assert f.readline() == "window_p,step,time_s,truth,prediction\n"
+        rows = load_rows(tmp_path / "traces.csv")
+        idx = np.linspace(0, len(test) - 1, 5).astype(int)
+        p = np.repeat(test.anchors[idx], test.m)
+        k = np.tile(np.arange(test.m), len(idx))
+        assert np.array_equal(rows[:, 0], p) and np.array_equal(rows[:, 1], k)
+        assert np.array_equal(rows[:, 2], (p + k) * test.dt)
+        assert np.array_equal(rows[:, 3], test.restore(test.Y[idx]).ravel())
+        assert np.array_equal(rows[:, 4], test.restore(predict(net, test.X[idx])).ravel())
+
+
 class TestRunners:
     def test_example1_outputs(self, campaign, tmp_path):
         config = tiny_config(example_id=1, max_epochs=1,
@@ -283,19 +302,19 @@ class TestRunners:
 
     def test_example2_windows_training_set_once(self, campaign, tmp_path,
                                                monkeypatch):
-        roles = []
+        run_ids = []
         build_pairs = dataset.build_pairs
 
         def counting(*args, **kwargs):
-            roles.append(kwargs["role"])
+            run_ids.append(kwargs["run_id"])
             return build_pairs(*args, **kwargs)
 
         monkeypatch.setattr(dataset, "build_pairs", counting)
         config = tiny_config(example_id=2, max_epochs=0, test_noise_levels=[0.0, 0.3],
                              output_dir=str(tmp_path / "runs"))
         run_experiment(config, campaign)
-        assert roles.count("training") == (len(EXAMPLE2_TRAINING_IDS)
-                                           * len(config.noise_levels))
+        training = [rid for rid in run_ids if rid in EXAMPLE2_TRAINING_IDS]
+        assert len(training) == len(EXAMPLE2_TRAINING_IDS) * len(config.noise_levels)
 
     def test_example3_outputs(self, campaign, tmp_path):
         config = tiny_config(example_id=3, max_epochs=1,

@@ -23,10 +23,10 @@ SUMMARIES = {1: ["time_window", "wave_lag", "prediction_length"],
 
 @pytest.mark.parametrize("example", sorted(SUMMARIES))
 def test_example_script_writes_its_summaries(tmp_path, example):
-    env = {**os.environ, "SEMISUB_OUTPUT_ROOT": str(tmp_path),
-           "PYTHONPATH": os.pathsep.join(
-               filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    args = [arg for item in TINY for arg in ("--set", item)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    args = [arg for item in [*TINY, f"output_dir={tmp_path / 'runs'}"]
+            for arg in ("--set", item)]
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / f"run_example{example}.py"), *args],
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=600)
