@@ -13,8 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .dataset import (NormalizationConstants, build_pairs, load_dataset,
                       save_dataset, window_spec)
 from .errors import SemisubError
@@ -22,7 +20,7 @@ from .experiments import (ExperimentConfig, aggregate_reports, cell_datasets,
                           get_campaign, run_experiment, save_cell, train_cell)
 from .metrics import evaluate, save_summaries, save_window_accuracies
 from .network import count_params, load_checkpoint
-from .timeseries import TimeSeries, write_csv
+from .timeseries import TimeSeries, same_time, write_csv
 from .training import predict
 from .vessel import save_campaign
 
@@ -87,49 +85,39 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_spec(ds, net, source, checkpoint) -> None:
+    """Refuse windows whose spec differs from the checkpoint's (dt by ``same_time``)."""
+    differ = [k for k, v in window_spec(ds).items()
+              if not (same_time(v, net.meta[k]) if k == "dt" else v == net.meta[k])]
+    if differ:
+        raise SemisubError(f"{source} differs from {checkpoint} in {', '.join(differ)}")
+
+
 def cmd_predict(args) -> int:
     net = load_checkpoint(args.checkpoint)
     meta = net.meta
-    n, m, w, channel = meta["n"], meta["m"], meta["w"], meta["channel"]
-    norm = NormalizationConstants(**meta["norm"])
-
-    def load(path):
-        series = TimeSeries.load_csv(path)
-        if not np.isclose(series.dt, meta["dt"], rtol=1e-9, atol=0.0):
-            raise SemisubError(f"{path}: sample interval {series.dt!r} s differs from "
-                               f"the checkpoint's {meta['dt']!r} s")
-        return series
-
-    motion = load(args.motion)
-    wave = None
-    if meta["r"] == 2:
-        if not args.wave:
-            raise SemisubError("this checkpoint expects a wave input (--wave)")
-        wave = load(args.wave)
-        if not np.isclose(wave.start_time, motion.start_time, rtol=1e-9, atol=0.0):
-            raise SemisubError(f"{args.wave}: starts at {wave.start_time!r} s, the motion "
-                               f"CSV at {motion.start_time!r} s")
-    ds = build_pairs(motion, wave, n, m, w, norm, channel)
+    if meta["r"] == 2 and not args.wave:
+        raise SemisubError("this checkpoint expects a wave input (--wave)")
+    motion = TimeSeries.load_csv(args.motion)
+    wave = TimeSeries.load_csv(args.wave) if meta["r"] == 2 else None
+    ds = build_pairs(motion, wave, meta["n"], meta["m"], meta["w"],
+                     NormalizationConstants(**meta["norm"]), meta["channel"])
+    _check_spec(ds, net, args.motion, args.checkpoint)
     anchor = args.anchor if args.anchor is not None else ds.anchors[-1]
     if anchor not in ds.anchors:
         raise SemisubError(f"anchor {anchor} outside valid range "
                            f"[{ds.anchors[0]}, {ds.anchors[-1]}]")
-    i = anchor - n
+    i = anchor - ds.n
     pred = ds.restore(predict(net, ds.X[i:i + 1])[0])
-    write_csv(args.output, "time_s,value", zip(motion.times[anchor:anchor + m], pred))
-    print(f"wrote {m}-step forecast to {args.output}")
+    write_csv(args.output, "time_s,value", zip(motion.times[anchor:anchor + ds.m], pred))
+    print(f"wrote {ds.m}-step forecast to {args.output}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
     net = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.dataset)
-    differ = [k for k, v in window_spec(ds).items()
-              if not (np.isclose(v, net.meta[k], rtol=1e-9, atol=0.0) if k == "dt"
-                      else v == net.meta[k])]
-    if differ:
-        raise SemisubError(f"{args.dataset} differs from {args.checkpoint} in "
-                           f"{', '.join(differ)}")
+    _check_spec(ds, net, args.dataset, args.checkpoint)
     report = evaluate(net, ds)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)

@@ -8,9 +8,10 @@ wave lag w) with a target Y of the next m motion samples:
     wave rows:    t_{p+w-n} .. t_{p+w-1}
     target:       t_p .. t_{p+m-1}
 
-``build_pairs`` owns this layout, for datasets and forecasts alike.  It
-standardizes channels by campaign-wide constants A (mean of per-run means)
-and B (mean of per-run standard deviations); ``WindowedDataset.restore``
+``build_pairs`` owns this layout, for datasets and forecasts alike, and
+holds wave and target to the motion's time axis (length, dt, start time).
+It standardizes channels by campaign-wide constants A (mean of per-run
+means) and B (mean of per-run standard deviations); ``WindowedDataset.restore``
 undoes it on the motion channel.  ``role_dataset`` builds each role's set.
 Noise-extended sets add seeded Gaussian noise (std I * sigma of the clean
 series) to the inputs only; targets are windowed once, clean.
@@ -29,13 +30,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (FLOAT, POSITIVE, STR, ConfigurationError,
                      DegenerateDataError, DomainError, at_least, one_of,
                      read_document)
-from .timeseries import TimeSeries, load_rows, write_csv
-from .vessel import CampaignRun
+from .timeseries import TimeSeries, load_rows, same_time, write_csv
+from .vessel import CHANNELS, MOTIONS, CampaignRun
 
-CHANNELS = ("wave", "heave", "surge")
 # What a model's windows are: shared by dataset manifests and checkpoint metadata
 WINDOW_SPEC = {
-    "channel": one_of("heave", "surge"), "n": at_least(1), "m": at_least(1),
+    "channel": one_of(*MOTIONS), "n": at_least(1), "m": at_least(1),
     "w": at_least(0), "r": one_of(1, 2), "dt": POSITIVE,
     "norm": {"A": {ch: FLOAT for ch in CHANNELS}, "B": {ch: POSITIVE for ch in CHANNELS}},
 }
@@ -152,8 +152,12 @@ def build_pairs(motion: TimeSeries, wave: TimeSeries | None, n: int, m: int,
     if stride < 1:
         raise DomainError("stride must be >= 1")
     L = len(motion)
-    if (wave is not None and len(wave) != L) or (target is not None and len(target) != L):
-        raise DomainError("motion, wave and target must have equal length")
+    for other in (wave, target):
+        if other is not None and not (len(other) == L and same_time(
+                [other.dt, other.start_time], [motion.dt, motion.start_time])):
+            raise DomainError(f"series on two time axes: {L} samples at dt {motion.dt!r} s "
+                              f"from {motion.start_time!r} s, {len(other)} samples at dt "
+                              f"{other.dt!r} s from {other.start_time!r} s")
     anchors = np.arange(n, n + pair_count(L, n, m, w), stride)
     if not anchors.size:
         raise DomainError(
@@ -198,7 +202,7 @@ def role_dataset(campaign: list[CampaignRun], role: str, channel: str, n: int,
     Inputs are noisy at each level; targets are always the clean series.
     The set's ``noise_level`` is the largest level.
     """
-    if channel not in ("heave", "surge"):
+    if channel not in MOTIONS:
         raise DomainError(f"channel must be heave or surge, got {channel!r}")
     if not noise_levels:
         raise ConfigurationError("noise_levels must be non-empty")

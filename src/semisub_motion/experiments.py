@@ -35,7 +35,7 @@ from .network import Network, init_network, save_checkpoint
 from .timeseries import write_csv
 from .training import EpochRecord, TrainingConfig, predict, train
 from .vessel import (DEFAULT_CONDITIONS, FULL_SCALE_DT, FULL_SCALE_DURATION,
-                     CampaignRun, generate_campaign, load_campaign)
+                     MOTIONS, CampaignRun, generate_campaign, load_campaign)
 
 EXAMPLE2_TRAINING_IDS = ("WC1", "WC3", "WC4")
 EXAMPLE2_TRAIN_NOISE = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
@@ -80,7 +80,7 @@ class ExperimentConfig(TrainingConfig):
 
     TABLE = {
         **TrainingConfig.TABLE, "example_id": one_of(1, 2, 3),
-        "channel": one_of("heave", "surge"), "duration": POSITIVE, "dt": POSITIVE,
+        "channel": one_of(*MOTIONS), "duration": POSITIVE, "dt": POSITIVE,
         **dict.fromkeys(("n", "m", "fc_width", "anchor_stride"), at_least(1)),
         **dict.fromkeys(("w", "fc_count", "campaign_seed", "init_seed", "noise_seed"),
                         at_least(0)),
@@ -215,9 +215,9 @@ def save_cell(cell: CellResult, out: Path, prefix: str = "") -> None:
     save_checkpoint(cell.net, out / f"{prefix}checkpoint.json")
 
 
-def save_traces(net: Network, ds: WindowedDataset, path, count: int = 5) -> None:
-    """Prediction-vs-truth traces, in physical units, for evenly spaced sample windows."""
-    idx = np.linspace(0, len(ds) - 1, count).astype(int)
+def save_traces(net: Network, ds: WindowedDataset, path) -> None:
+    """Prediction-vs-truth traces, in physical units, for up to 5 evenly spaced windows."""
+    idx = np.linspace(0, len(ds) - 1, min(5, len(ds))).astype(int)
     truth, pred = ds.restore(ds.Y[idx]), ds.restore(predict(net, ds.X[idx]))
     write_csv(path, "window_p,step,time_s,truth,prediction", (
         (p, k, float((p + k) * ds.dt), truth[j, k], pred[j, k])

@@ -1,4 +1,4 @@
-"""Uniformly sampled scalar time series, and the one CSV reader and writer."""
+"""Uniformly sampled time series, when two times agree, and the one CSV reader and writer."""
 
 from __future__ import annotations
 
@@ -9,6 +9,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
+
+
+def same_time(a, b) -> bool:
+    """Whether two times, or equal-length sequences of them, agree to 1e-9 relative."""
+    return bool(np.allclose(a, b, rtol=1e-9, atol=0.0))
 
 
 @dataclass

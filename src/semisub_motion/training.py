@@ -124,8 +124,6 @@ def train(net: Network, training: WindowedDataset, test: WindowedDataset,
         raise ConfigurationError(
             f"network output size {net.output_size} != prediction length {training.m}")
     history: list[EpochRecord] = []
-    if config.max_epochs == 0:
-        return net, history
     rng = np.random.default_rng(config.shuffle_seed)
     params = net.parameters()
     state = AdamState.for_parameters(params)

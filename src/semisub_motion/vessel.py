@@ -23,11 +23,13 @@ from scipy.signal import cont2discrete, lfilter
 
 from .errors import (ANY, POSITIVE, STR, ConfigurationError, DomainError, Rule,
                      at_least, check, one_of, read_document)
-from .timeseries import TimeSeries
+from .timeseries import TimeSeries, same_time
 from .waves import SpectrumParams, synthesize_wave
 
 FULL_SCALE_DT = 0.775          # s, 10 Hz model-scale sampling Froude-scaled by sqrt(60)
 FULL_SCALE_DURATION = 10800.0  # s, 3 h record
+MOTIONS = ("heave", "surge")   # the motion channels a model can forecast
+CHANNELS = ("wave", *MOTIONS)  # every recorded channel of a run
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ class CampaignRun:
     seed: int
 
     def channel(self, name: str) -> TimeSeries:
-        if name not in ("wave", "heave", "surge"):
+        if name not in CHANNELS:
             raise DomainError(f"unknown channel {name!r}")
         return getattr(self, name)
 
@@ -199,7 +201,7 @@ def save_campaign(runs: list[CampaignRun], directory,
     manifest = {"format_version": CAMPAIGN_VERSION, "runs": [],
                 "response_params": asdict(params)}
     for run in runs:
-        for channel in ("wave", "heave", "surge"):
+        for channel in CHANNELS:
             run.channel(channel).save_csv(directory / f"{run.condition.id}_{channel}.csv")
         manifest["runs"].append({
             "condition": asdict(run.condition),
@@ -219,16 +221,14 @@ def load_campaign(directory) -> list[CampaignRun]:
     for e in read_document(path, CAMPAIGN_VERSION, CAMPAIGN_TABLE)["runs"]:
         cond = WaveCondition(**e["condition"])
         series = {ch: TimeSeries.load_csv(directory / f"{cond.id}_{ch}.csv")
-                  for ch in ("wave", "heave", "surge")}
+                  for ch in CHANNELS}
         axis = runs[0].wave if runs else series["wave"]
         for ch, ts in series.items():
             csv = directory / f"{cond.id}_{ch}.csv"
-            if not (ts.values.size == e["samples"]
-                    and np.isclose(ts.dt, e["dt"], rtol=1e-9, atol=0.0)):
+            if not (ts.values.size == e["samples"] and same_time(ts.dt, e["dt"])):
                 raise DomainError(f"{csv}: {ts.values.size} samples at dt {ts.dt!r}, not "
                                   f"the manifest's {e['samples']!r} at {e['dt']!r}")
-            if not np.allclose([ts.dt, ts.start_time], [axis.dt, axis.start_time],
-                               rtol=1e-9, atol=0.0):
+            if not same_time([ts.dt, ts.start_time], [axis.dt, axis.start_time]):
                 raise DomainError(f"{csv}: dt {ts.dt!r} from {ts.start_time!r} s, not the "
                                   f"campaign's dt {axis.dt!r} from {axis.start_time!r} s")
         runs.append(CampaignRun(condition=cond, seed=e["seed"], **series))

@@ -183,7 +183,7 @@ class TestPipeline:
                      "--motion", str(run_dir / "WC2_heave.csv"),
                      "--wave", str(long), "--anchor", "200",
                      "--output", str(tmp_path / "forecast.csv")])
-        assert "equal length" in one_error_line(code, capsys)
+        assert "904 samples" in one_error_line(code, capsys)
         assert not (tmp_path / "forecast.csv").exists()
 
     @pytest.mark.parametrize("anchor", [11, 898])
@@ -200,24 +200,25 @@ class TestPipeline:
         assert one_error_line(code, capsys).endswith(
             f"anchor {anchor} outside valid range [12, 897]")
 
-    @pytest.mark.parametrize("resampled", ["motion", "wave"])
+    @pytest.mark.parametrize("resampled, message", [
+        (["motion"], "dt 0.5 s"), (["wave"], "dt 0.5 s"),
+        (["motion", "wave"], "checkpoint.json in dt")], ids=["motion", "wave", "both"])
     def test_predict_rejects_mismatched_sampling(self, workspace, tmp_path,
-                                                 capsys, resampled):
+                                                 capsys, resampled, message):
         root, _ = workspace
         run_dir = root / "sim" / "campaign"
         paths = {"motion": run_dir / "WC2_heave.csv",
                  "wave": run_dir / "WC2_wave.csv"}
-        series = TimeSeries.load_csv(paths[resampled])
-        paths[resampled] = tmp_path / f"{resampled}.csv"
-        TimeSeries(dt=0.5, values=series.values).save_csv(paths[resampled])
+        for name in resampled:
+            series = TimeSeries.load_csv(paths[name])
+            paths[name] = tmp_path / f"{name}.csv"
+            TimeSeries(dt=0.5, values=series.values).save_csv(paths[name])
         code = main(["predict",
                      "--checkpoint", str(root / "model" / "checkpoint.json"),
                      "--motion", str(paths["motion"]),
                      "--wave", str(paths["wave"]), "--anchor", "200",
                      "--output", str(tmp_path / "forecast.csv")])
-        err = capsys.readouterr().err.strip().splitlines()
-        assert code == 1
-        assert len(err) == 1 and "sample interval" in err[0]
+        assert message in one_error_line(code, capsys)
 
     def test_predict_rejects_wave_starting_at_another_time(self, workspace, tmp_path,
                                                            capsys):
@@ -231,7 +232,7 @@ class TestPipeline:
                      "--motion", str(run_dir / "WC2_heave.csv"),
                      "--wave", str(shifted), "--anchor", "200",
                      "--output", str(tmp_path / "forecast.csv")])
-        assert "starts at 500.0 s" in one_error_line(code, capsys)
+        assert "from 500.0 s" in one_error_line(code, capsys)
         assert not (tmp_path / "forecast.csv").exists()
 
     def test_predict_rejects_checkpoint_without_window_metadata(

@@ -193,6 +193,20 @@ class TestBuildPairs:
         with pytest.raises(DomainError):
             build_pairs(series(np.arange(10, dtype=float)), None, n=8, m=5, w=0)
 
+    @pytest.mark.parametrize("other, axis", [
+        ("wave", dict(dt=0.5)), ("wave", dict(start_time=30.0)),
+        ("target", dict(dt=0.5)), ("target", dict(start_time=30.0)),
+        ("wave", dict(samples=101))])
+    def test_series_on_another_time_axis_rejected(self, other, axis):
+        motion = TimeSeries(dt=0.775, values=np.arange(100.0))
+        misaligned = TimeSeries(dt=axis.get("dt", 0.775),
+                                values=np.arange(float(axis.get("samples", 100))),
+                                start_time=axis.get("start_time", 0.0))
+        series_of = {"wave": None, "target": None, other: misaligned}
+        with pytest.raises(DomainError):
+            build_pairs(motion, series_of["wave"], n=10, m=5, w=5,
+                        target=series_of["target"])
+
     def test_restore_gives_back_raw_targets(self):
         raw = 3.7 + 2.3 * np.sin(0.21 * np.arange(90))
         norm = NormalizationConstants(A={"surge": 3.1, "wave": -0.4},

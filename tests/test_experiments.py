@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from semisub_motion import dataset, experiments
+from semisub_motion.dataset import build_pairs
 from semisub_motion.errors import ConfigurationError, NumericalError
 from semisub_motion.experiments import (EXAMPLE2_TRAINING_IDS, CellResult,
                                         ExperimentConfig, aggregate_reports,
@@ -11,7 +12,7 @@ from semisub_motion.experiments import (EXAMPLE2_TRAINING_IDS, CellResult,
                                         save_cell, save_traces, select_runs, train_cell)
 from semisub_motion.metrics import SUMMARY_HEADER
 from semisub_motion.network import init_network, load_checkpoint, save_checkpoint
-from semisub_motion.timeseries import load_rows
+from semisub_motion.timeseries import TimeSeries, load_rows
 from semisub_motion.training import EpochRecord, TrainingConfig, predict
 from semisub_motion.vessel import generate_campaign
 from support import overfit_gap
@@ -257,6 +258,15 @@ class TestTraces:
         assert np.array_equal(rows[:, 2], (p + k) * test.dt)
         assert np.array_equal(rows[:, 3], test.restore(test.Y[idx]).ravel())
         assert np.array_equal(rows[:, 4], test.restore(predict(net, test.X[idx])).ravel())
+
+    def test_a_set_of_fewer_than_five_windows_writes_each_once(self, tmp_path):
+        """20 samples, n = 10, m = 5, stride 4: anchors 10 and 14."""
+        motion = TimeSeries(dt=0.775, values=np.sin(0.3 * np.arange(20.0)))
+        ds = build_pairs(motion, None, n=10, m=5, w=0, stride=4)
+        net = init_network(ds.r, [4], 1, 4, ds.m, seed=1)
+        save_traces(net, ds, tmp_path / "traces.csv")
+        rows = load_rows(tmp_path / "traces.csv")
+        assert np.array_equal(rows[:, 0], np.repeat([10, 14], 5))
 
 
 class TestRunners:
