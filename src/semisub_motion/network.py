@@ -17,27 +17,30 @@ fully-connected layers and an affine output layer.
 
 The sigmoid is evaluated as 0.5 * (1 + tanh(x / 2)), which needs no masks
 and cannot overflow, so all four stacked gates of a step are activated by
-one tanh call with a per-column scale s (1/2 for i, f, o; 1 for g):
+one tanh call with a per-row scale s (1/2 for i, f, o; 1 for g):
 gate = s * tanh(s * a) + (1 - s).  ``lstm_forward`` multiplies the rows of
-``W_input``, ``W_hidden`` and the summed bias by s before the products.
-Since s is a power of two this scaling is exact, so the products yield
+``W_input``, ``W_hidden`` and the summed bias by s before the product.
+Since s is a power of two this scaling is exact, so the product yields
 s * a bit for bit and no step scales its pre-activations.
 
-The kernel works time-major.  The input projection of every step is one
-GEMM into an (n, B, 4H) buffer that the time loop activates in place, so
-the buffer becomes the gate cache.  The BPTT cache also keeps the cell
-states as (n + 1, B, H) with c_0 in row 0 and tanh(c_t) as (n, B, H).
-Public arrays stay batch-major (B, n, .): the hidden sequence returned by
-``lstm_forward`` and cached as ``hs`` is a transposed view of the
-time-major one.
+The kernel works batch-minor.  Each layer keeps one buffer Z of shape
+(n + 1, r + 1 + H, B) whose block t holds [x_t ; 1 ; h_{t-1}], with the
+zero state h_0 in block 0, so each step's (4H, B) gates are one GEMM of
+W = [W_input | b_input + b_hidden | W_hidden] with Z[t], each gate is a
+contiguous (H, B) block, and h_t is written into block t + 1.  The BPTT
+cache keeps Z, the activated gates (n, 4H, B), the cell states as
+(n + 1, H, B) with c_0 in block 0 and tanh(c_t) as (n, H, B); inference
+keeps one step of each.  Public arrays stay batch-major (B, n, .): the
+hidden sequence returned by ``lstm_forward`` and cached as ``hs`` is a
+transposed view of Z's h rows.
 
 Gradients are computed by exact backpropagation through time; no autodiff
 framework is involved.  The reverse loop does only the elementwise work
-and the recurrent ``da @ W_hidden`` product.  It writes each step's gate
+and the recurrent ``W_hidden.T @ da`` product.  It writes each step's gate
 gradients over that step's spent gates, so the gate cache becomes ``da``
-and a cache serves one ``backward`` only.  The weight, bias and input
-gradients are single GEMMs or reductions over all steps after the loop;
-the bottom layer's input gradient is never formed.
+and a cache serves one ``backward`` only.  After the loop one batched
+product of ``da`` with Z gives the input, bias and recurrent weight
+gradients together; the bottom layer's input gradient is never formed.
 
 Both time loops write into preallocated buffers (``out=``), and a
 ``Workspace`` holds those buffers and the caches.  ``training.train``
@@ -80,14 +83,14 @@ CHECKPOINT_TABLE = {
 
 
 def _gate_affine(ws: Workspace, B: int, H: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column scale s and shift 1 - s over the stacked (i, f, g, o)
-    gates: s * tanh(s * a) + (1 - s) is the sigmoid where s = 1/2 and tanh
-    where s = 1.  Both are (B, 4H), one row per window, so that applying
-    them to a step's gates is one contiguous pass rather than a broadcast."""
-    scale = ws.array("scale", (B, 4 * H), dtype)
+    """Per-row scale s and shift 1 - s over the stacked (i, f, g, o) gates:
+    s * tanh(s * a) + (1 - s) is the sigmoid where s = 1/2 and tanh where
+    s = 1.  Both are (4H, B), one column per window, so that applying them
+    to a step's gates is one contiguous pass rather than a broadcast."""
+    scale = ws.array("scale", (4 * H, B), dtype)
     scale[...] = 0.5
-    scale[:, 2 * H:3 * H] = 1.0
-    return scale, np.subtract(1.0, scale, out=ws.array("shift", (B, 4 * H), dtype))
+    scale[2 * H:3 * H] = 1.0
+    return scale, np.subtract(1.0, scale, out=ws.array("shift", (4 * H, B), dtype))
 
 
 @dataclass
@@ -240,8 +243,10 @@ def lstm_forward(layer: LstmLayerParams, inputs: np.ndarray,
                  workspace: Workspace | None = None) -> np.ndarray:
     """Run the gate recurrences over a batch of sequences from h = c = 0.
 
-    ``inputs`` is (B, n, input_size); returns the hidden sequence (B, n, H)
-    and fills ``cache``, when given, with the intermediates needed for BPTT.
+    ``inputs`` is (B, n, input_size); returns the hidden sequence (B, n, H),
+    a view of the h rows of the layer's Z buffer (see the module docstring).
+    ``cache``, when given, keeps Z and every step's gates, cell state and its
+    tanh for BPTT; without one the step loop keeps only the current step.
     With a ``workspace`` the returned sequence and the cache are views of
     its buffers; without one they are freshly allocated.
     """
@@ -250,70 +255,65 @@ def lstm_forward(layer: LstmLayerParams, inputs: np.ndarray,
     if r != layer.input_size:
         raise DomainError(f"input feature count {r} != layer input size {layer.input_size}")
     ws = Workspace() if workspace is None else workspace
-    keep = cache is not None
     dtype = np.result_type(inputs, layer.W_input)
     scale, shift = _gate_affine(ws, B, H, dtype)
     # s is 1/2 or 1, so pre-scaling the weights and bias scales the
-    # pre-activations exactly: s * a comes out of the products themselves
-    column = scale[0][:, None]
-    W_hidden_T = (layer.W_hidden * column).T
-    bias = np.multiply(layer.b_input + layer.b_hidden, scale,
-                       out=ws.array("bias", (B, 4 * H), dtype))
-    # time-major input projections; the loop turns each step into its gates
-    gates = np.matmul(inputs.transpose(1, 0, 2), (layer.W_input * column).T,
-                      out=ws.array("gates", (n, B, 4 * H), dtype))
-    hs = ws.array("hs", (n, B, H), dtype)
-    h = ws.array("h", (B, H), dtype)
-    h[...] = 0
-    rec = ws.array("rec", (B, 4 * H), dtype)
-    ig = ws.array("ig", (B, H), dtype)
-    # without a cache, the cell state and its tanh keep one row, rewritten each step
-    step = 1 if keep else 0
-    c_seq = ws.array("c", (step * n + 1, B, H), dtype)
+    # pre-activations exactly: s * a comes out of the product itself
+    W = np.hstack([layer.W_input, (layer.b_input + layer.b_hidden)[:, None],
+                   layer.W_hidden]) * scale[:, :1]
+    Z = ws.array("Z", (n + 1, r + 1 + H, B), dtype)
+    Z[:n, :r] = inputs.transpose(1, 2, 0)
+    Z[:n, r] = 1.0
+    Z[0, r + 1:] = 0.0
+    # without a cache, the gates, the cell state and its tanh keep one step
+    step = 1 if cache is not None else 0
+    gates = ws.array("gates", (step * (n - 1) + 1, 4 * H, B), dtype)
+    c_seq = ws.array("c", (step * n + 1, H, B), dtype)
     c_seq[0] = 0
-    tanh_c = ws.array("tanh_c", (step * (n - 1) + 1, B, H), dtype)
+    tanh_c = ws.array("tanh_c", (step * (n - 1) + 1, H, B), dtype)
+    ig = ws.array("ig", (H, B), dtype)
     for t in range(n):
-        a = gates[t]
-        a += bias
-        a += np.matmul(h, W_hidden_T, out=rec)
+        a = np.matmul(W, Z[t], out=gates[step * t])
         np.tanh(a, out=a)
         a *= scale
         a += shift
-        c = np.multiply(a[:, H:2 * H], c_seq[step * t], out=c_seq[step * (t + 1)])
-        c += np.multiply(a[:, :H], a[:, 2 * H:3 * H], out=ig)
+        c = np.multiply(a[H:2 * H], c_seq[step * t], out=c_seq[step * (t + 1)])
+        c += np.multiply(a[:H], a[2 * H:3 * H], out=ig)
         tc = np.tanh(c, out=tanh_c[step * t])
-        h = np.multiply(a[:, 3 * H:], tc, out=hs[t])
-    hs = hs.transpose(1, 0, 2)
-    if keep:
-        cache.update(inputs=inputs, hs=hs, gates=gates, c=c_seq, tanh_c=tanh_c)
+        np.multiply(a[3 * H:], tc, out=Z[t + 1, r + 1:])
+    hs = Z[1:, r + 1:].transpose(2, 0, 1)
+    if cache is not None:
+        cache.update(Z=Z, hs=hs, gates=gates, c=c_seq, tanh_c=tanh_c)
     return hs
 
 
 def _lstm_backward(layer: LstmLayerParams, cache: dict, dh_seq: np.ndarray,
                    ws: Workspace) -> list[np.ndarray]:
-    """BPTT through one layer given time-major per-step hidden-state
-    gradients ``dh_seq`` (n, B, H); returns [dW_input, dW_hidden, db_input,
+    """BPTT through one layer given batch-minor per-step hidden-state
+    gradients ``dh_seq`` (n, H, B); returns [dW_input, dW_hidden, db_input,
     db_hidden].
 
     Each step's gate gradients are written over that step's spent gates,
-    so afterwards ``cache["gates"]`` holds the time-major gate gradients
-    (n, B, 4H) and the cache cannot be differentiated again.
+    so afterwards ``cache["gates"]`` holds the gate gradients (n, 4H, B)
+    and the cache cannot be differentiated again.  After the loop one
+    product of those gradients with the cached ``Z`` gives
+    [dW_input | db | dW_hidden]; block 0's zero h rows make step 0 add
+    nothing to dW_hidden.
     """
-    x = cache["inputs"].transpose(1, 0, 2)
-    hs = cache["hs"].transpose(1, 0, 2)
-    da, c_seq, tanh_c = cache["gates"], cache["c"], cache["tanh_c"]
-    n, B, H = hs.shape
+    Z, da, c_seq, tanh_c = cache["Z"], cache["gates"], cache["c"], cache["tanh_c"]
+    n, four_h, B = da.shape
+    H, r = four_h // 4, layer.input_size
     dtype = da.dtype
     scale, shift = _gate_affine(ws, B, H, dtype)
-    scale_sq = np.square(scale, out=ws.array("scale_sq", (B, 4 * H), dtype))
-    dh, dc, dc_rec, dh_rec, scratch = (ws.array(name, (B, H), dtype) for name in
+    scale_sq = np.square(scale, out=ws.array("scale_sq", (4 * H, B), dtype))
+    dh, dc, dc_rec, dh_rec, scratch = (ws.array(name, (H, B), dtype) for name in
                                        ("dh", "dc", "dc_rec", "dh_rec", "scratch"))
     dh_rec[...] = 0
     dc_rec[...] = 0
-    deriv = ws.array("deriv", (B, 4 * H), dtype)
+    deriv = ws.array("deriv", (4 * H, B), dtype)
     for t in range(n - 1, -1, -1):
         d = da[t]  # the step's gates, each overwritten by its gradient once read
-        i, f, g, o = d[:, :H], d[:, H:2 * H], d[:, 2 * H:3 * H], d[:, 3 * H:]
+        i, f, g, o = d[:H], d[H:2 * H], d[2 * H:3 * H], d[3 * H:]
         tc = tanh_c[t]
         np.add(dh_seq[t], dh_rec, out=dh)
         # dc = dh * o * (1 - tc^2) + dc_rec
@@ -335,14 +335,12 @@ def _lstm_backward(layer: LstmLayerParams, cache: dict, dh_seq: np.ndarray,
         np.multiply(dc, i, out=g)
         i[...] = scratch
         d *= deriv
-        np.matmul(d, layer.W_hidden, out=dh_rec)
-    rows = da.reshape(n * B, 4 * H)
-    dW_x = rows.T @ x.reshape(n * B, -1)
-    # forward() starts from h = 0, so step 0 adds nothing to dW_hidden
-    dW_h = da[1:].reshape(-1, 4 * H).T @ hs[:-1].reshape(-1, H)
-    db = rows.sum(axis=0)
+        np.matmul(layer.W_hidden.T, d, out=dh_rec)
+    grad = np.matmul(da, Z[:n].transpose(0, 2, 1),
+                     out=ws.array("grad", (n, 4 * H, Z.shape[1]), dtype)).sum(axis=0)
     # b_input and b_hidden enter every gate as a sum: identical gradients
-    return [dW_x, dW_h, db, db.copy()]
+    db = grad[:, r]
+    return [grad[:, :r].copy(), grad[:, r + 1:].copy(), db.copy(), db.copy()]
 
 
 def forward(net: Network, X: np.ndarray, caches: list | None = None, *,
@@ -418,16 +416,16 @@ def backward(net: Network, X: np.ndarray, Y: np.ndarray, *,
 
     # gradient reaches the last LSTM layer only at the final time step
     n = X.shape[1]
-    dh_seq = ws.array("dh_seq", (n, B, net.lstm_layers[-1].hidden_size), d.dtype)
+    dh_seq = ws.array("dh_seq", (n, net.lstm_layers[-1].hidden_size, B), d.dtype)
     dh_seq[:-1] = 0
-    dh_seq[-1] = d
+    dh_seq[-1] = d.T
     for k in range(len(net.lstm_layers) - 1, -1, -1):
         layer, cache = net.lstm_layers[k], lstm_caches[k]
         grads[:0] = _lstm_backward(layer, cache, dh_seq, ws.layer(k))
         if k > 0:  # the layer below takes this input gradient; the bottom's is unused
             # over the spent dh_seq, from the gate gradients left in the cache
-            dh_seq = np.matmul(cache["gates"], layer.W_input,
-                               out=ws.array("dh_seq", (n, B, layer.input_size), d.dtype))
+            dh_seq = np.matmul(layer.W_input.T, cache["gates"],
+                               out=ws.array("dh_seq", (n, layer.input_size, B), d.dtype))
     return loss, grads
 
 

@@ -308,7 +308,7 @@ class TestWorkspace:
 
     def test_steady_state_step_allocates_no_gate_buffer(self):
         """With the workspace of an earlier call, a float32 B = 512 step
-        (n = 60, H = 50) peaks below one (n, B, 4H) gate buffer of fresh
+        (n = 60, H = 50) peaks below one (n, 4H, B) gate buffer of fresh
         memory.  numpy reports its data buffers to tracemalloc."""
         rng = np.random.default_rng(18)
         net = init_network(2, [50], 3, 50, 20, seed=25).astype(np.float32)
@@ -323,6 +323,22 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 60 * 512 * 4 * 50 * np.dtype(np.float32).itemsize
+
+    def test_inference_keeps_one_step_of_gates(self):
+        """A float64 B = 512 forward pass without a cache or a workspace
+        (n = 60, H = 50) peaks below one (n, 4H, B) gate buffer: only the
+        step being computed needs its gates.  A fresh buffer of that size
+        at the first scoring pass after training raised peak memory."""
+        rng = np.random.default_rng(19)
+        net = init_network(2, [50], 3, 50, 20, seed=26)
+        X = rng.normal(size=(512, 60, 2))
+        tracemalloc.start()
+        try:
+            forward(net, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * 4 * 50 * 512 * np.dtype(np.float64).itemsize
 
 
 class TestCountParams:
@@ -453,7 +469,7 @@ def gate_activations(x):
     layer.W_input[:] = 1.0
     cache = {}
     lstm_forward(layer, np.reshape(x, (-1, 1, 1)), cache=cache)
-    return cache["gates"][0].T
+    return cache["gates"][0]
 
 
 def test_sigmoid_matches_naive():

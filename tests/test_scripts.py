@@ -75,8 +75,6 @@ def test_write_outputs_writes_every_output_file(tmp_path):
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two cores for two BLAS threads")
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the bytes depend on the BLAS "
-                   "thread count (example 3's sweep summaries and the report)")
 def test_write_outputs_bytes_do_not_depend_on_blas_threads(tmp_path):
     trees = []
     for threads in ("1", "2"):
