@@ -12,7 +12,10 @@ wave lag w) with a target Y of the next m motion samples:
 holds wave and target to the motion's time axis (length, dt, start time).
 It standardizes channels by campaign-wide constants A (mean of per-run
 means) and B (mean of per-run standard deviations); ``WindowedDataset.restore``
-undoes it on the motion channel.  ``role_dataset`` builds each role's set.
+undoes it on the motion channel.  It cuts windows as read-only strided views;
+``concat_datasets`` is the one copy of window bytes, so every set that
+``role_dataset`` (each role's set) and ``load_dataset`` return owns
+C-contiguous, writeable X and Y.
 Noise-extended sets add seeded Gaussian noise (std I * sigma of the clean
 series) to the inputs only; targets are windowed once, clean.
 """
@@ -71,13 +74,15 @@ def regularize(series: TimeSeries, A: float, B: float) -> TimeSeries:
     return series.with_values((series.values - A) / B)
 
 
-def noise_seed(run_id: str, channel: str, level: float, base_seed: int = 0) -> int:
-    """Stable seed derived from (run id, channel, noise level).
+def noise_key(level: float) -> float:
+    """A noise level rounded to 12 decimals: ``1`` and ``1.0`` (or ``0.1 + 0.2``
+    and ``0.3``) share a key, so they draw the same noise."""
+    return round(float(level), 12)
 
-    The level is keyed rounded to 12 decimals, so ``1`` and ``1.0`` (or
-    ``0.1 + 0.2`` and ``0.3``) share a seed.
-    """
-    key = f"{base_seed}:{run_id}:{channel}:{round(float(level), 12)!r}"
+
+def noise_seed(run_id: str, channel: str, level: float, base_seed: int = 0) -> int:
+    """Stable seed derived from (run id, channel, ``noise_key(level)``)."""
+    key = f"{base_seed}:{run_id}:{channel}:{noise_key(level)!r}"
     return zlib.crc32(key.encode())
 
 
@@ -146,7 +151,10 @@ def build_pairs(motion: TimeSeries, wave: TimeSeries | None, n: int, m: int,
     """Standardize one run by ``norm`` (default: identity) and cut its
     windows: X holds motion rows p-n..p-1 and, with ``wave``, wave rows
     p+w-n..p+w-1; Y is cut from ``target`` (default: ``motion``).
-    ``stride`` subsamples the anchors; stride 1 keeps every valid window."""
+    ``stride`` subsamples the anchors; stride 1 keeps every valid window.
+
+    X and Y are read-only strided views of the standardized series (without
+    ``wave`` and ``target``, of the same one); ``concat_datasets`` copies them."""
     if n < 1 or m < 1 or w < 0:
         raise DomainError(f"need n, m >= 1 and w >= 0, got n={n} m={m} w={w}")
     if stride < 1:
@@ -158,26 +166,29 @@ def build_pairs(motion: TimeSeries, wave: TimeSeries | None, n: int, m: int,
             raise DomainError(f"series on two time axes: {L} samples at dt {motion.dt!r} s "
                               f"from {motion.start_time!r} s, {len(other)} samples at dt "
                               f"{other.dt!r} s from {other.start_time!r} s")
-    anchors = np.arange(n, n + pair_count(L, n, m, w), stride)
-    if not anchors.size:
+    count = pair_count(L, n, m, w)
+    if not count:
         raise DomainError(
             f"series of length {L} too short for n={n}, m={m}, w={w}")
+    anchors = np.arange(n, n + count, stride)
     norm = norm or NormalizationConstants(A={channel: 0.0, "wave": 0.0},
                                           B={channel: 1.0, "wave": 1.0})
     A, B = norm.A, norm.B
     x = regularize(motion, A[channel], B[channel]).values
     y = x if target is None else regularize(target, A[channel], B[channel]).values
-    blocks = [sliding_window_view(x, n)[anchors - n]]
-    if wave is not None:
-        blocks.append(sliding_window_view(
-            regularize(wave, A["wave"], B["wave"]).values, n)[anchors - n + w])
-    return WindowedDataset(X=np.stack(blocks, axis=2), Y=sliding_window_view(y, m)[anchors],
+    # Row k holds motion row k and wave row k + w, so the window of anchor
+    # p = n + j * stride starts at row j * stride: a basic slice, no gather.
+    feat = x[:L - w, None] if wave is None else np.column_stack(
+        [x[:L - w], regularize(wave, A["wave"], B["wave"]).values[w:]])
+    X = sliding_window_view(feat, n, axis=0)[:count:stride].transpose(0, 2, 1)
+    return WindowedDataset(X=X, Y=sliding_window_view(y, m)[n:n + count:stride],
                            anchors=anchors, run_ids=[run_id] * len(anchors), n=n,
                            m=m, w=w, channel=channel, norm=norm, dt=motion.dt)
 
 
 def concat_datasets(parts: list[WindowedDataset]) -> WindowedDataset:
-    """Merge per-run datasets sharing (n, m, w, r); order is preserved."""
+    """Merge per-run datasets sharing (n, m, w, r), in order, into one set
+    that owns C-contiguous copies of their windows."""
     if not parts:
         raise DomainError("nothing to concatenate")
     first = parts[0]
@@ -294,8 +305,8 @@ def load_dataset(path) -> WindowedDataset:
     if not np.all((p == np.floor(p)) & (n <= p) & (p < 2**53)):
         raise DomainError(f"{path}: column p must hold whole numbers in [{n}, 2**53)")
     anchors = p.astype(int)
-    X = data[:, 1:1 + n * r].reshape(-1, n, r)
-    Y = data[:, 1 + n * r:]
+    X = data[:, 1:1 + n * r].reshape(-1, n, r).copy()
+    Y = data[:, 1 + n * r:].copy()
     return WindowedDataset(
         X=X, Y=Y, anchors=anchors, run_ids=list(manifest["run_ids"]),
         n=n, m=m, w=manifest["w"], channel=manifest["channel"],

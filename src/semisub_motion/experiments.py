@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import (NormalizationConstants, WindowedDataset, role_dataset,
-                      split_campaign, window_spec)
+from .dataset import (NormalizationConstants, WindowedDataset, noise_key,
+                      role_dataset, split_campaign, window_spec)
 from .errors import POSITIVE, STR, ConfigurationError, at_least, one_of
 from .metrics import SUMMARY_HEADER, EvaluationReport, evaluate, save_summaries
 from .network import Network, init_network, save_checkpoint
@@ -90,6 +90,14 @@ class ExperimentConfig(TrainingConfig):
                         [at_least(1)]),
         "w_sweep": [at_least(0)], "output_dir": STR,
         "training_condition_ids?": [one_of(*_TRAINING_IDS)]}
+
+    def __post_init__(self):
+        super().__post_init__()
+        for name in ("noise_levels", "test_noise_levels"):
+            levels = getattr(self, name)
+            if len({noise_key(level) for level in levels}) < len(levels):
+                raise ConfigurationError(f"{name} repeats a level (to 12 decimals, "
+                                         f"the noise seed's key): {levels!r}")
 
     @property
     def use_wave(self) -> bool:

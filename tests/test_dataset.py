@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semisub_motion.dataset import (NormalizationConstants, add_noise, build_pairs,
-                                    compute_norm_constants,
+                                    compute_norm_constants, concat_datasets,
                                     load_dataset, noise_seed, pair_count,
                                     regularize, role_dataset, save_dataset,
                                     split_campaign, window_spec)
@@ -142,17 +143,30 @@ class TestBuildPairs:
         assert pair_count(L, n, m, w) == 17921
 
     def test_index_alignment_against_oracle(self):
+        """Every stride, with and without the wave (r = 2, 1) and a target."""
         L, n, m, w = 60, 7, 4, 3
         motion = series(np.arange(L, dtype=float))
-        wave = series(1000.0 + np.arange(L, dtype=float))
-        ds = build_pairs(motion, wave, n, m, w)
-        oracle = enumerate_pairs(L, n, m, w)
-        assert len(ds) == len(oracle)
-        for i, (p, motion_idx, wave_idx, target_idx) in enumerate(oracle):
-            assert ds.anchors[i] == p
-            assert np.array_equal(ds.X[i, :, 0], motion_idx)
-            assert np.array_equal(ds.X[i, :, 1], 1000.0 + np.array(wave_idx))
-            assert np.array_equal(ds.Y[i], target_idx)
+        for stride, wave_offset, target_offset in itertools.product(
+                [1, 3, 5], [1000.0, None], [None, 500.0]):
+            wave = None if wave_offset is None else series(wave_offset + np.arange(L))
+            target = None if target_offset is None else series(target_offset + np.arange(L))
+            ds = build_pairs(motion, wave, n, m, w, stride=stride, target=target)
+            oracle = enumerate_pairs(L, n, m, w)[::stride]
+            assert len(ds) == len(oracle) and ds.r == (1 if wave is None else 2)
+            for i, (p, motion_idx, wave_idx, target_idx) in enumerate(oracle):
+                assert ds.anchors[i] == p
+                assert np.array_equal(ds.X[i, :, 0], motion_idx)
+                if wave is not None:
+                    assert np.array_equal(ds.X[i, :, 1], wave_offset + np.array(wave_idx))
+                assert np.array_equal(ds.Y[i], (target_offset or 0.0) + np.array(target_idx))
+
+    @pytest.mark.parametrize("use_wave", [True, False])
+    def test_windows_are_read_only_views(self, use_wave):
+        motion = series(np.arange(40, dtype=float))
+        ds = build_pairs(motion, motion if use_wave else None, n=6, m=4, w=2, stride=3)
+        assert not ds.X.flags.writeable and not ds.Y.flags.writeable
+        if not use_wave:  # X and Y are windows of one standardized series
+            assert np.shares_memory(ds.X, ds.Y)
 
     @given(L=st.integers(20, 200), n=st.integers(1, 30),
            m=st.integers(1, 20), w=st.integers(0, 30))
@@ -256,6 +270,62 @@ class TestSplitCampaign:
         a = split_campaign(campaign, "surge", 20, 10, 10, noise_levels=[0.2])[0]
         b = split_campaign(campaign, "surge", 20, 10, 10, noise_levels=[0.2])[0]
         assert np.array_equal(a.X, b.X) and np.array_equal(a.Y, b.Y)
+
+
+def windows_by_loop(campaign, role, channel, n, m, w, levels, norm, stride,
+                    use_wave=True, base_seed=0):
+    """Per-anchor reference for ``role_dataset``: X, Y, anchors and run ids."""
+    X, Y, anchors, run_ids = [], [], [], []
+    runs = sorted((r for r in campaign if r.condition.dataset_role == role),
+                  key=lambda r: r.condition.id)
+    for run in runs:
+        rid = run.condition.id
+        y = regularize(run.channel(channel), norm.A[channel], norm.B[channel]).values
+        for level in levels:
+            x, wave = (regularize(add_noise(run.channel(ch), level,
+                                            noise_seed(rid, ch, level, base_seed)),
+                                  norm.A[ch], norm.B[ch]).values for ch in (channel, "wave"))
+            for p in range(n, n + pair_count(len(x), n, m, w), stride):
+                cols = [x[p - n:p]] + ([wave[p - n + w:p + w]] if use_wave else [])
+                X.append(np.stack(cols, axis=1))
+                Y.append(y[p:p + m])
+                anchors.append(p)
+                run_ids.append(rid)
+    return np.array(X), np.array(Y), np.array(anchors), run_ids
+
+
+class TestWindowBytes:
+    @pytest.mark.parametrize("stride, use_wave", [(1, True), (5, True), (10, False)])
+    def test_split_campaign_equals_per_anchor_loop(self, campaign, stride, use_wave):
+        norm = compute_norm_constants(campaign)
+        levels, w = [0.0, 0.3, 0.5], 10 if use_wave else 0
+        training, test = split_campaign(campaign, "heave", 20, 8, w, noise_levels=levels,
+                                        use_wave=use_wave, norm=norm, noise_base_seed=2,
+                                        stride=stride, test_noise_level=0.4)
+        for ds, role, role_levels in ((training, "training", levels), (test, "test", [0.4])):
+            X, Y, anchors, run_ids = windows_by_loop(campaign, role, "heave", 20, 8, w,
+                                                     role_levels, norm, stride, use_wave, 2)
+            assert ds.X.shape == X.shape and ds.X.tobytes() == X.tobytes()
+            assert ds.Y.shape == Y.shape and ds.Y.tobytes() == Y.tobytes()
+            assert np.array_equal(ds.anchors, anchors) and ds.run_ids == run_ids
+
+    def test_returned_windows_are_owned(self, campaign, tmp_path):
+        """Every returned set's X and Y are C-contiguous, writeable, and alias
+        neither each other nor the campaign's series."""
+        norm = compute_norm_constants(campaign)
+        training, test = split_campaign(campaign, "heave", 12, 6, 6, noise_levels=[0.0, 0.2],
+                                        norm=norm, stride=4)
+        single = role_dataset(campaign, "test", "heave", 12, 6, 0, [0.0], norm,
+                              use_wave=False)
+        save_dataset(test, tmp_path / "test.csv")
+        motion = campaign[0].channel("heave")
+        forecast = concat_datasets([build_pairs(motion, None, 12, 6, 0)])
+        series_values = [run.channel(ch).values for run in campaign for ch in ("heave", "wave")]
+        for ds in (training, test, single, load_dataset(tmp_path / "test.csv"), forecast):
+            for a in (ds.X, ds.Y):
+                assert a.flags.c_contiguous and a.flags.writeable and a.flags.owndata
+                assert not any(np.shares_memory(a, v) for v in series_values)
+            assert not np.shares_memory(ds.X, ds.Y)
 
 
 class TestRoleDataset:

@@ -151,6 +151,15 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=field):
             tiny_config(example_id=2, **{field: value})
 
+    @pytest.mark.parametrize("field", ["noise_levels", "test_noise_levels"])
+    @pytest.mark.parametrize("levels", [[0.1, 0.1], [0.3, 0.1 + 0.2], [0, 0.2, 0.0]])
+    def test_repeated_noise_level_rejected(self, field, levels):
+        """Levels equal after the noise seed's 12-decimal key would draw the same noise."""
+        with pytest.raises(ConfigurationError, match=f"{field} repeats") as err:
+            tiny_config(example_id=2, **{field: levels})
+        assert "\n" not in str(err.value)
+        assert tiny_config(example_id=2, **{field: [0.3, 0.3 + 1e-9]})
+
     @pytest.mark.parametrize("ids", [["WCX"], ["WC2"], [], "WC1"])
     def test_training_ids_name_training_conditions(self, ids):
         with pytest.raises(ConfigurationError, match="training_condition_ids"):
