@@ -128,8 +128,9 @@ class WindowedDataset:
         return self.X.shape[0]
 
     def restore(self, values: np.ndarray) -> np.ndarray:
-        """Motion-channel values in physical units: the inverse of ``regularize``."""
-        return values * self.norm.B[self.channel] + self.norm.A[self.channel]
+        """Motion-channel values in float64 physical units: the inverse of ``regularize``."""
+        return (np.asarray(values, dtype=np.float64) * self.norm.B[self.channel]
+                + self.norm.A[self.channel])
 
 
 def window_spec(ds: WindowedDataset) -> dict:

@@ -21,7 +21,9 @@ one tanh call with a per-row scale s (1/2 for i, f, o; 1 for g):
 gate = s * tanh(s * a) + (1 - s).  ``lstm_forward`` multiplies the rows of
 ``W_input``, ``W_hidden`` and the summed bias by s before the product.
 Since s is a power of two this scaling is exact, so the product yields
-s * a bit for bit and no step scales its pre-activations.
+s * a bit for bit and no step scales its pre-activations.  The step's
+affine part uses s and 1 - s as (4H, 1) columns, cheap at B = 1; BPTT's
+gate derivative uses s as a scalar per block of rows, cheap at large B.
 
 The kernel works batch-minor.  Each layer keeps one buffer Z of shape
 (n + 1, r + 1 + H, B) whose block t holds [x_t ; 1 ; h_{t-1}], with the
@@ -51,11 +53,11 @@ so a short last batch views the front of the same memory.  The loops
 evaluate every element in the same order as an allocating loop would, so
 reusing memory changes no bit.
 
-The kernel follows its inputs' dtype: every buffer ``lstm_forward``,
-``_lstm_backward`` and ``backward`` allocate takes the dtype of the arrays
-they are given, so a float32 network fed float32 windows computes in
-float32 throughout and float64 stays float64.  ``Network.astype`` makes a
-copy of a network in another dtype.
+The kernel computes in the network's dtype: ``forward`` casts the windows
+to it (no copy if they have it), ``backward`` casts the targets, and every
+buffer takes it.  ``train_cell`` and ``load_checkpoint`` give float32
+networks, fed float64 datasets; ``init_network`` builds float64, which the
+BPTT gradient checks difference.  ``Network.astype`` copies to a dtype.
 """
 
 from __future__ import annotations
@@ -80,17 +82,6 @@ CHECKPOINT_TABLE = {
     "fc_layers": [{"weights": [ANY], "bias": [ANY],
                    "activation": one_of("tanh", "identity")}],
 }
-
-
-def _gate_affine(ws: Workspace, B: int, H: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row scale s and shift 1 - s over the stacked (i, f, g, o) gates:
-    s * tanh(s * a) + (1 - s) is the sigmoid where s = 1/2 and tanh where
-    s = 1.  Both are (4H, B), one column per window, so that applying them
-    to a step's gates is one contiguous pass rather than a broadcast."""
-    scale = ws.array("scale", (4 * H, B), dtype)
-    scale[...] = 0.5
-    scale[2 * H:3 * H] = 1.0
-    return scale, np.subtract(1.0, scale, out=ws.array("shift", (4 * H, B), dtype))
 
 
 @dataclass
@@ -256,11 +247,12 @@ def lstm_forward(layer: LstmLayerParams, inputs: np.ndarray,
         raise DomainError(f"input feature count {r} != layer input size {layer.input_size}")
     ws = Workspace() if workspace is None else workspace
     dtype = np.result_type(inputs, layer.W_input)
-    scale, shift = _gate_affine(ws, B, H, dtype)
-    # s is 1/2 or 1, so pre-scaling the weights and bias scales the
-    # pre-activations exactly: s * a comes out of the product itself
+    # s (per gate i, f, g, o) is 1/2 or 1, so pre-scaling the weights and bias
+    # scales the pre-activations exactly: s * a comes out of the product itself
+    scale = np.repeat(np.array([[0.5], [0.5], [1.0], [0.5]], dtype), H, axis=0)
     W = np.hstack([layer.W_input, (layer.b_input + layer.b_hidden)[:, None],
-                   layer.W_hidden]) * scale[:, :1]
+                   layer.W_hidden]) * scale
+    shift = 1 - scale
     Z = ws.array("Z", (n + 1, r + 1 + H, B), dtype)
     Z[:n, :r] = inputs.transpose(1, 2, 0)
     Z[:n, r] = 1.0
@@ -304,13 +296,12 @@ def _lstm_backward(layer: LstmLayerParams, cache: dict, dh_seq: np.ndarray,
     n, four_h, B = da.shape
     H, r = four_h // 4, layer.input_size
     dtype = da.dtype
-    scale, shift = _gate_affine(ws, B, H, dtype)
-    scale_sq = np.square(scale, out=ws.array("scale_sq", (4 * H, B), dtype))
     dh, dc, dc_rec, dh_rec, scratch = (ws.array(name, (H, B), dtype) for name in
                                        ("dh", "dc", "dc_rec", "dh_rec", "scratch"))
     dh_rec[...] = 0
     dc_rec[...] = 0
     deriv = ws.array("deriv", (4 * H, B), dtype)
+    blocks = ((slice(0, 2 * H), 0.5), (slice(2 * H, 3 * H), 1.0), (slice(3 * H, None), 0.5))
     for t in range(n - 1, -1, -1):
         d = da[t]  # the step's gates, each overwritten by its gradient once read
         i, f, g, o = d[:H], d[H:2 * H], d[2 * H:3 * H], d[3 * H:]
@@ -322,10 +313,10 @@ def _lstm_backward(layer: LstmLayerParams, cache: dict, dh_seq: np.ndarray,
         np.multiply(dh, o, out=dc)
         dc *= scratch
         dc += dc_rec
-        # gate derivative s^2 - (gate - (1 - s))^2: i(1 - i) or 1 - g^2
-        np.subtract(d, shift, out=deriv)
-        np.square(deriv, out=deriv)
-        np.subtract(scale_sq, deriv, out=deriv)
+        # gate derivative s^2 - (gate - (1 - s))^2: i(1 - i), or 1 - g^2 where s = 1
+        for rows, s in blocks:
+            gate = d[rows] if s == 1 else np.subtract(d[rows], 1 - s, out=deriv[rows])
+            np.subtract(s * s, np.square(gate, out=deriv[rows]), out=deriv[rows])
         np.multiply(dc, f, out=dc_rec)
         # o and f are read; i and g each feed the other's slot, so dc * g
         # waits in scratch until dc * i has been formed over g
@@ -333,8 +324,8 @@ def _lstm_backward(layer: LstmLayerParams, cache: dict, dh_seq: np.ndarray,
         np.multiply(dc, c_seq[t], out=f)
         np.multiply(dc, g, out=scratch)
         np.multiply(dc, i, out=g)
-        i[...] = scratch
-        d *= deriv
+        np.multiply(scratch, deriv[:H], out=i)
+        d[H:] *= deriv[H:]
         np.matmul(layer.W_hidden.T, d, out=dh_rec)
     grad = np.matmul(da, Z[:n].transpose(0, 2, 1),
                      out=ws.array("grad", (n, 4 * H, Z.shape[1]), dtype)).sum(axis=0)
@@ -347,10 +338,11 @@ def forward(net: Network, X: np.ndarray, caches: list | None = None, *,
             workspace: Workspace | None = None) -> np.ndarray:
     """Predict a batch: X (B, n, r) or a single window (n, r) -> (B, m) / (m,).
 
-    LSTM layer k computes in ``workspace.layer(k)`` when a workspace is given.
+    X is cast to the network's dtype.  LSTM layer k computes in
+    ``workspace.layer(k)`` when a workspace is given.
     """
     single = X.ndim == 2
-    x = X[None] if single else X
+    x = (X[None] if single else X).astype(net.lstm_layers[0].W_input.dtype, copy=False)
     if x.shape[2] != net.input_size:
         raise DomainError(f"feature count {x.shape[2]} != network input size "
                           f"{net.input_size}")
@@ -381,10 +373,11 @@ def backward(net: Network, X: np.ndarray, Y: np.ndarray, *,
              workspace: Workspace | None = None) -> tuple[float, list[np.ndarray]]:
     """Loss and exact gradients of batch-mean MSE for a batch of windows.
 
-    X is (B, n, r), Y is (B, m).  The gradient list mirrors
-    ``net.parameters()`` order.  A ``workspace`` passed to every call of a
-    training loop holds the caches and work buffers, so that steps after
-    the first allocate nothing batch-sized; the gradients are fresh arrays.
+    X is (B, n, r) and Y is (B, m), both taken in the network's dtype.  The
+    gradient list mirrors ``net.parameters()`` order.  A ``workspace``
+    passed to every call of a training loop holds the caches and work
+    buffers, so that steps after the first allocate nothing batch-sized;
+    the gradients are fresh arrays.
     """
     if X.ndim != 3 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
         raise DomainError("expected X (B, n, r) and Y (B, m) with equal B")
@@ -396,6 +389,7 @@ def backward(net: Network, X: np.ndarray, Y: np.ndarray, *,
     if not np.all(np.isfinite(pred)):
         raise NumericalError("non-finite activations in forward pass")
     B, m = pred.shape
+    Y = Y.astype(pred.dtype, copy=False)
     loss = mse_loss(pred, Y)
 
     lstm_caches = caches[:len(net.lstm_layers)]
@@ -445,7 +439,8 @@ def architecture(net: Network) -> dict:
 
 
 def save_checkpoint(net: Network, path) -> None:
-    """Self-describing JSON checkpoint, round-trip exact at 64-bit."""
+    """Self-describing JSON checkpoint; each weight is the repr of its exact
+    value, so a float32 network round-trips bit for bit."""
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "architecture": architecture(net),
@@ -461,20 +456,23 @@ def load_checkpoint(path) -> Network:
     doc = read_document(path, CHECKPOINT_VERSION, CHECKPOINT_TABLE)
 
     def layer(kind, fields: dict):
-        return kind(**{k: v if isinstance(v, str) else np.array(v, dtype=np.float64)
+        return kind(**{k: v if isinstance(v, str) else np.array(v, dtype=np.float32)
                        for k, v in fields.items()})
 
     try:
-        net = Network(lstm_layers=[layer(LstmLayerParams, l) for l in doc["lstm_layers"]],
-                      fc_layers=[layer(FcLayerParams, l) for l in doc["fc_layers"]],
-                      meta=doc["meta"])
+        with np.errstate(over="ignore"):  # beyond float32 is inf, refused below
+            net = Network(
+                lstm_layers=[layer(LstmLayerParams, l) for l in doc["lstm_layers"]],
+                fc_layers=[layer(FcLayerParams, l) for l in doc["fc_layers"]],
+                meta=doc["meta"])
     except (TypeError, ValueError) as exc:
         raise DomainError(f"malformed checkpoint {path}: {exc!r}") from exc
     if count_params(net) != doc["param_count"]:
         raise DomainError(f"checkpoint declares {doc['param_count']} parameters, "
                           f"found {count_params(net)}")
     if not all(np.all(np.isfinite(p)) for p in net.parameters()):
-        raise DomainError(f"checkpoint {path} has a non-finite parameter")
+        raise DomainError(f"checkpoint {path} has a non-finite parameter or one outside "
+                          f"float32's range (|x| <= {np.finfo(np.float32).max!s})")
     for key, size in (("r", net.input_size), ("m", net.output_size)):
         if net.meta[key] != size:
             raise DomainError(f"checkpoint {path}: meta {key} is {net.meta[key]}, "

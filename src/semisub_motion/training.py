@@ -107,8 +107,9 @@ def predict(net: Network, X: np.ndarray, *, workspace: Workspace | None = None) 
 
 def dataset_loss(net: Network, ds: WindowedDataset, *,
                  workspace: Workspace | None = None) -> float:
-    """Full-dataset MSE of ``predict``, in the buffers of ``workspace`` when given."""
-    return mse_loss(predict(net, ds.X, workspace=workspace), ds.Y)
+    """Full-dataset MSE of ``predict``, against Y in the forecasts' dtype."""
+    pred = predict(net, ds.X, workspace=workspace)
+    return mse_loss(pred, ds.Y.astype(pred.dtype, copy=False))
 
 
 def train(net: Network, training: WindowedDataset, test: WindowedDataset,

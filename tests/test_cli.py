@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semisub_motion.cli import main
-from semisub_motion.dataset import (NormalizationConstants, build_pairs,
-                                    load_dataset, regularize)
+from semisub_motion.dataset import NormalizationConstants, build_pairs, load_dataset
 from semisub_motion.network import forward, load_checkpoint
 from semisub_motion.timeseries import TimeSeries
 from semisub_motion.vessel import load_campaign
@@ -119,14 +118,14 @@ class TestPipeline:
                      "--wave", str(run_dir / "WC2_wave.csv"),
                      "--anchor", "200", "--output", str(out)]) == 0
         net = load_checkpoint(root / "model" / "checkpoint.json")
-        norm = NormalizationConstants(**net.meta["norm"])
-        A, B = norm.A["heave"], norm.B["heave"]
-        motion = regularize(TimeSeries.load_csv(run_dir / "WC2_heave.csv"), A, B)
-        wave = regularize(TimeSeries.load_csv(run_dir / "WC2_wave.csv"),
-                          norm.A["wave"], norm.B["wave"])
-        ds = build_pairs(motion, wave, TINY["n"], TINY["m"], TINY["w"])
+        ds = build_pairs(TimeSeries.load_csv(run_dir / "WC2_heave.csv"),
+                         TimeSeries.load_csv(run_dir / "WC2_wave.csv"),
+                         TINY["n"], TINY["m"], TINY["w"],
+                         NormalizationConstants(**net.meta["norm"]), "heave")
         i = int(np.flatnonzero(ds.anchors == 200)[0])
-        expected = forward(net, ds.X[i]) * B + A
+        # the float32 network's forecast, restored to physical units in float64
+        expected = ds.restore(forward(net, ds.X[i]))
+        assert expected.dtype == np.float64
         assert np.array_equal(TimeSeries.load_csv(out).values, expected)
 
     @pytest.mark.parametrize("cell", ["abc", "nan"])
@@ -250,6 +249,31 @@ class TestPipeline:
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 1
         assert len(err) == 1 and "lacks dt, n" in err[0]
+
+    def test_evaluate_rejects_weight_beyond_float32(self, workspace, tmp_path, capsys):
+        """A finite JSON weight that float32 cannot hold is refused, not cast to inf."""
+        root, _ = workspace
+        doc = json.loads((root / "model" / "checkpoint.json").read_text())
+        doc["lstm_layers"][0]["W_hidden"][0][0] = 1e39
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(doc))
+        code = main(["evaluate", "--checkpoint", str(checkpoint),
+                     "--dataset", str(root / "data" / "test.csv"),
+                     "--output", str(tmp_path / "eval")])
+        assert "outside float32's range" in one_error_line(code, capsys)
+
+    def test_evaluate_repeats_the_test_row_of_train(self, workspace, tmp_path):
+        """CLI evaluate on the exported test set scores the one float32 network
+        as train did, so it writes train's test summary row byte for byte."""
+        root, _ = workspace
+        out = tmp_path / "eval"
+        assert main(["evaluate",
+                     "--checkpoint", str(root / "model" / "checkpoint.json"),
+                     "--dataset", str(root / "data" / "test.csv"),
+                     "--output", str(out)]) == 0
+        header, _, test_row = (root / "model" / "summary.csv").read_text().splitlines()
+        assert test_row.startswith("test,")
+        assert (out / "summary.csv").read_text().splitlines() == [header, test_row]
 
     def test_evaluate(self, workspace, tmp_path, capsys):
         root, _ = workspace

@@ -222,17 +222,17 @@ class TestTrainCell:
         assert a.history[-1].train_loss == b.history[-1].train_loss
         assert a.test_report.accuracy.summary == b.test_report.accuracy.summary
 
-    def test_trained_weights_are_float64_float32_roundings(self, campaign, tmp_path):
-        """Training runs in float32; the network it returns is float64, holds
-        exactly float32-rounded weights and round-trips through a checkpoint."""
+    def test_trained_network_is_float32_and_round_trips(self, campaign, tmp_path):
+        """The cell's network is the float32 one it trained, and a checkpoint
+        gives it back bit for bit."""
         config = tiny_config(max_epochs=1)
         cell = train_cell(campaign, config, config.n, config.m, config.w)
         params = cell.net.parameters()
-        assert {p.dtype for p in params} == {np.dtype(np.float64)}
-        assert all(np.array_equal(p, p.astype(np.float32)) for p in params)
+        assert {p.dtype for p in params} == {np.dtype(np.float32)}
         save_checkpoint(cell.net, tmp_path / "checkpoint.json")
         loaded = load_checkpoint(tmp_path / "checkpoint.json")
-        assert all(np.array_equal(a, b) for a, b in zip(loaded.parameters(), params))
+        assert all(a.dtype == np.float32 and a.tobytes() == b.tobytes()
+                   for a, b in zip(loaded.parameters(), params))
         # the float64 BPTT gradient checks start from a float64 network
         fresh = init_network(2, config.lstm_hidden, 1, 8, config.m, seed=0)
         assert {p.dtype for p in fresh.parameters()} == {np.dtype(np.float64)}
@@ -318,6 +318,24 @@ class TestRunners:
         # the clean test-noise set is the cell's own test set
         assert np.array_equal(results["test_noise_0.0"].accuracy.per_window,
                               model.test_report.accuracy.per_window)
+
+    def test_example2_scores_the_clean_test_set_once(self, campaign, tmp_path,
+                                                     monkeypatch):
+        """train_cell scores the training and test sets; the clean test level
+        reuses the test score, and every other level is scored once."""
+        calls = []
+        real = experiments.evaluate
+
+        def counting(net, ds):
+            calls.append(ds.noise_level)
+            return real(net, ds)
+
+        monkeypatch.setattr(experiments, "evaluate", counting)
+        config = tiny_config(example_id=2, max_epochs=0, test_noise_levels=[0.4, 0.0, 0.2],
+                             output_dir=str(tmp_path / "runs"))
+        run_experiment(config, campaign)
+        assert len(calls) == 2 + len(config.test_noise_levels) - 1
+        assert calls.count(0.0) == 1
 
     def test_example2_windows_training_set_once(self, campaign, tmp_path,
                                                monkeypatch):

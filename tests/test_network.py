@@ -368,13 +368,15 @@ class TestCountParams:
 
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
-        net = init_network(2, [4, 3], 2, 5, 3, seed=17)
+        """A float32 network, the dtype a cell trains, comes back bit for bit."""
+        net = init_network(2, [4, 3], 2, 5, 3, seed=17).astype(np.float32)
         net.meta = window_meta(2, 3)
         path = tmp_path / "net.json"
         save_checkpoint(net, path)
         loaded = load_checkpoint(path)
         for a, b in zip(net.parameters(), loaded.parameters()):
-            assert np.array_equal(a, b)
+            assert a.dtype == b.dtype == np.float32
+            assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
         assert loaded.meta == net.meta
 
     def test_declared_count_in_header(self, tmp_path):
@@ -414,11 +416,13 @@ class TestCheckpoint:
     @pytest.mark.parametrize("defect, message", [
         (lambda doc: doc["lstm_layers"][0]["W_input"][0].__setitem__(0, float("nan")),
          "non-finite parameter"),
+        (lambda doc: doc["fc_layers"][0]["bias"].__setitem__(1, -1e39),
+         "outside float32's range"),
         (lambda doc: [row.pop() for row in doc["fc_layers"][0]["weights"]],
          "do not feed layer inputs"),
         (lambda doc: doc["meta"].update(r=1), "meta r is 1, but the network's size is 2"),
         (lambda doc: doc["meta"].update(m=3), "meta m is 3, but the network's size is 2"),
-    ], ids=["nan_weight", "layers_do_not_chain", "meta_r", "meta_m"])
+    ], ids=["nan_weight", "beyond_float32", "layers_do_not_chain", "meta_r", "meta_m"])
     def test_inconsistent_checkpoint_rejected(self, tmp_path, defect, message):
         import json
         net = init_network(2, [3], 1, 4, 2, seed=0)
