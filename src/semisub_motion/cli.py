@@ -13,6 +13,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .dataset import (NormalizationConstants, build_pairs, load_dataset,
                       save_dataset, window_spec)
 from .errors import SemisubError
@@ -33,20 +35,13 @@ def _parse_value(raw: str):
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config:
-        config = ExperimentConfig.from_file(args.config)
-    else:
-        config = ExperimentConfig()
     overrides = {}
     for item in args.set or []:
-        if "=" not in item:
+        key, eq, raw = item.partition("=")
+        if not eq:
             raise SemisubError(f"override must look like key=value, got {item!r}")
-        key, raw = item.split("=", 1)
         overrides[key] = _parse_value(raw)
-    if overrides:
-        merged = {**json.loads(config.to_json()), **overrides}
-        config = ExperimentConfig.from_dict(merged)
-    return config
+    return ExperimentConfig.from_file(args.config, overrides)
 
 
 def cmd_simulate(args) -> int:
@@ -196,9 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (SemisubError, OSError) as exc:
+    try:  # an overflow, division by zero or NaN anywhere is an error, not a value
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
+    except (SemisubError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -45,7 +45,7 @@ _KINDS = {
 # A value of type ``kind`` (a key of ``_KINDS``) for which ``within`` holds;
 # ``phrase`` names that range in an error.
 Rule = namedtuple("Rule", "kind phrase within", defaults=("", lambda v: True))
-STR, ANY = Rule("str"), Rule("any")
+STR, ANY, NUMBER = Rule("str"), Rule("any"), Rule("float")  # NUMBER: NaN and inf too
 FLOAT = Rule("float", "finite", lambda v: -math.inf < v < math.inf)
 POSITIVE = Rule("float", "positive and finite", lambda v: 0 < v < math.inf)
 

@@ -121,18 +121,17 @@ class ExperimentConfig(TrainingConfig):
         return json.dumps(asdict(self), indent=2)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
+    def from_file(cls, path=None, overrides=None) -> "ExperimentConfig":
+        """The config of the JSON object in ``path`` (no fields without a path)
+        with ``overrides`` merged over it, built and checked once."""
         try:
-            return cls(**d)
+            fields = json.loads(Path(path).read_text()) if path else {}
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"cannot load config {path}: {exc}") from exc
+        try:
+            return cls(**{**fields, **(overrides or {})})
         except TypeError as exc:
             raise ConfigurationError(f"invalid config: {exc}") from exc
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        try:
-            return cls.from_dict(json.loads(Path(path).read_text()))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(f"cannot load config {path}: {exc}") from exc
 
 
 def get_campaign(config: ExperimentConfig, directory=None) -> list[CampaignRun]:

@@ -70,16 +70,17 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import WINDOW_SPEC
-from .errors import (ANY, DomainError, NumericalError, at_least, one_of,
+from .errors import (ANY, NUMBER, DomainError, NumericalError, at_least, one_of,
                      read_document)
 
 CHECKPOINT_VERSION = 1
 CHECKPOINT_TABLE = {
     "architecture?": ANY, "param_count": at_least(1),
     "meta": {**WINDOW_SPEC, "seeds?": ANY},
-    "lstm_layers": [dict.fromkeys(("W_input", "W_hidden", "b_input", "b_hidden"),
-                                  [ANY])],
-    "fc_layers": [{"weights": [ANY], "bias": [ANY],
+    # NUMBER, not FLOAT: load_checkpoint refuses a non-finite weight in its own words
+    "lstm_layers": [{"W_input": [[NUMBER]], "W_hidden": [[NUMBER]],
+                     "b_input": [NUMBER], "b_hidden": [NUMBER]}],
+    "fc_layers": [{"weights": [[NUMBER]], "bias": [NUMBER],
                    "activation": one_of("tanh", "identity")}],
 }
 

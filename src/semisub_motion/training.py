@@ -13,7 +13,7 @@ from .errors import (POSITIVE, ConfigurationError, DomainError, NumericalError,
                      Rule, at_least, check)
 from .network import Network, Workspace, backward, forward, mse_loss
 
-# Windows per forward call when scoring a dataset: bounds its (n, rows, 4H) gates.
+# Windows per forward call when scoring: bounds each layer's (n + 1, r + 1 + H, rows) Z.
 # forward's bits depend on the batch, so this value is part of every score.
 INFERENCE_ROWS = 512
 BETA1, BETA2 = 0.9, 0.999  # Adam's moment decay rates
@@ -35,7 +35,7 @@ class AdamState:
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
-              state: AdamState, lr: float) -> tuple[list[np.ndarray], AdamState]:
+              state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update; parameters are updated in place."""
     if lr <= 0:
         raise DomainError(f"learning rate must be positive, got {lr}")
@@ -51,7 +51,6 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
         m_hat = m / (1.0 - BETA1**t)
         v_hat = v / (1.0 - BETA2**t)
         p -= lr * m_hat / (np.sqrt(v_hat) + EPSILON)
-    return params, state
 
 
 @dataclass

@@ -262,6 +262,53 @@ class TestPipeline:
                      "--output", str(tmp_path / "eval")])
         assert "outside float32's range" in one_error_line(code, capsys)
 
+    def test_evaluate_rejects_text_weight(self, workspace, tmp_path, capsys):
+        """A weight written as text is refused, not parsed into a number."""
+        root, _ = workspace
+        doc = json.loads((root / "model" / "checkpoint.json").read_text())
+        doc["lstm_layers"][0]["b_input"][0] = "0.5"
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(doc))
+        code = main(["evaluate", "--checkpoint", str(checkpoint),
+                     "--dataset", str(root / "data" / "test.csv"),
+                     "--output", str(tmp_path / "eval")])
+        assert "b_input[0] must be float" in one_error_line(code, capsys)
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("A, B", [(None, 1e-320), (1.7e308, 1e308)],
+                             ids=["regularize_overflows", "restore_overflows"])
+    def test_predict_refuses_norm_that_overflows(self, workspace, tmp_path, capsys,
+                                                 A, B):
+        """Norm constants that pass the table but overflow float64 on the way in
+        or out end in one error line, not in a constant or infinite forecast.
+        The output layer is set to forecast 1.0, so 1.0 * B + A overflows."""
+        root, _ = workspace
+        doc = json.loads((root / "model" / "checkpoint.json").read_text())
+        head = doc["fc_layers"][-1]
+        head["weights"] = [[0.0] * len(row) for row in head["weights"]]
+        head["bias"] = [1.0] * len(head["bias"])
+        norm = doc["meta"]["norm"]
+        norm["A"]["heave"] = norm["A"]["heave"] if A is None else A
+        norm["B"]["heave"] = B
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(doc))
+        run_dir = root / "sim" / "campaign"
+        out = tmp_path / "forecast.csv"
+        code = main(["predict", "--checkpoint", str(checkpoint),
+                     "--motion", str(run_dir / "WC2_heave.csv"),
+                     "--wave", str(run_dir / "WC2_wave.csv"), "--output", str(out)])
+        assert "overflow" in one_error_line(code, capsys)
+        assert not out.exists()
+
+    def test_diverging_train_ends_in_one_line(self, workspace, tmp_path, capsys):
+        """numpy's floating-point error is the error, with no warning lines before it."""
+        root, config = workspace
+        code = main(["train", "--config", str(config), "--set", "initial_lr=1e20",
+                     "--campaign", str(root / "sim" / "campaign"),
+                     "--output", str(tmp_path)])
+        assert "encountered in" in one_error_line(code, capsys)
+        assert not (tmp_path / "checkpoint.json").exists()
+
     def test_evaluate_repeats_the_test_row_of_train(self, workspace, tmp_path):
         """CLI evaluate on the exported test set scores the one float32 network
         as train did, so it writes train's test summary row byte for byte."""
@@ -710,6 +757,35 @@ class TestErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert "n must be int" in err[0]
+
+    def test_override_replaces_file_value_before_the_check(self, capsys, tmp_path):
+        """--set merges into the file's fields, and the one check sees the result."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 0, "duration": 700.0, "dt": 0.775}))
+        assert main(["simulate", "--config", str(config),
+                     "--output", str(tmp_path)]) == 1
+        assert "n must be >= 1, got 0" in capsys.readouterr().err
+        assert main(["simulate", "--config", str(config), "--set", "n=12",
+                     "--output", str(tmp_path)]) == 0
+        assert (tmp_path / "campaign" / "manifest.json").exists()
+
+    def test_undecodable_config_file(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_bytes(b"\xff\xfe{")
+        code = main(["simulate", "--config", str(config), "--output", str(tmp_path)])
+        assert "cannot load config" in one_error_line(code, capsys)
+
+    @pytest.mark.parametrize("overrides, message", [
+        (["dt=1e-9", "duration=1e9"], "Unable to allocate"),
+        (["duration=1.7e308"], "infinity"),
+    ], ids=["unallocatable_campaign", "duration_overflows"])
+    def test_campaign_size_beyond_reach(self, capsys, tmp_path, overrides, message):
+        """Sizes numpy refuses at once (exbibytes, or an infinite sample count)."""
+        argv = ["simulate", "--output", str(tmp_path)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert message in one_error_line(main(argv), capsys)
+        assert not (tmp_path / "campaign").exists()
 
     def test_missing_checkpoint(self, capsys, tmp_path):
         code = main(["evaluate", "--checkpoint", str(tmp_path / "none.json"),

@@ -73,7 +73,7 @@ def summary_names(out, tag) -> list[str]:
 class TestConfig:
     def test_json_round_trip(self):
         config = tiny_config(channel="surge", max_epochs=7)
-        back = ExperimentConfig.from_dict(json.loads(config.to_json()))
+        back = ExperimentConfig(**json.loads(config.to_json()))
         assert back == config
 
     def test_file_round_trip(self, tmp_path):
@@ -81,6 +81,24 @@ class TestConfig:
         path = tmp_path / "config.json"
         path.write_text(config.to_json())
         assert ExperimentConfig.from_file(path) == config
+
+    def test_overrides_merge_into_file_fields(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n": 0, "channel": "surge"}))
+        with pytest.raises(ConfigurationError, match="n must be >= 1, got 0"):
+            ExperimentConfig.from_file(path)
+        config = ExperimentConfig.from_file(path, {"n": 12, "m": 4})
+        assert config == ExperimentConfig(n=12, m=4, channel="surge")
+        assert ExperimentConfig.from_file() == ExperimentConfig()
+        assert ExperimentConfig.from_file(None, {"w": 3}) == ExperimentConfig(w=3)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"n"'])
+    def test_file_without_config_object_rejected(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match="invalid config: ") as info:
+            ExperimentConfig.from_file(path, {"n": 12})
+        assert "\n" not in str(info.value)
 
     def test_invalid_example_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -422,7 +422,12 @@ class TestCheckpoint:
          "do not feed layer inputs"),
         (lambda doc: doc["meta"].update(r=1), "meta r is 1, but the network's size is 2"),
         (lambda doc: doc["meta"].update(m=3), "meta m is 3, but the network's size is 2"),
-    ], ids=["nan_weight", "beyond_float32", "layers_do_not_chain", "meta_r", "meta_m"])
+        (lambda doc: doc["lstm_layers"][0]["b_input"].__setitem__(0, "0.5"),
+         r"lstm_layers\[0\]\.b_input\[0\] must be float, got '0.5'"),
+        (lambda doc: doc["lstm_layers"][0]["b_hidden"].__setitem__(0, True),
+         r"lstm_layers\[0\]\.b_hidden\[0\] must be float, got True"),
+    ], ids=["nan_weight", "beyond_float32", "layers_do_not_chain", "meta_r", "meta_m",
+            "text_weight", "bool_weight"])
     def test_inconsistent_checkpoint_rejected(self, tmp_path, defect, message):
         import json
         net = init_network(2, [3], 1, 4, 2, seed=0)
