@@ -115,7 +115,8 @@ def train(net: Network, training: WindowedDataset, test: WindowedDataset,
           config: TrainingConfig) -> tuple[Network, list[EpochRecord]]:
     """Seeded mini-batch training; returns the best-test-loss parameters.
 
-    History records train and test loss per epoch.  Divergence aborts with
+    History records train and test loss per epoch.  Divergence (a
+    non-finite loss, or a step's raised ``FloatingPointError``) aborts with
     a NumericalError carrying the history collected so far.
     """
     if (training.n, training.m, training.w, training.r) != (test.n, test.m, test.w, test.r):
@@ -138,13 +139,16 @@ def train(net: Network, training: WindowedDataset, test: WindowedDataset,
         loss_sum = 0.0
         for start in range(0, N, config.batch_size):
             idx = perm[start:start + config.batch_size]
-            loss, grads = backward(net, training.X[idx], training.Y[idx],
-                                   workspace=workspace)
-            if not np.isfinite(loss):
+            try:  # a raising np.errstate makes a step's overflow an error: divergence too
+                loss, grads = backward(net, training.X[idx], training.Y[idx],
+                                       workspace=workspace)
+                if not np.isfinite(loss):
+                    raise FloatingPointError
+                adam_step(params, grads, state, lr)
+            except FloatingPointError:
                 exc = NumericalError(f"training diverged at epoch {epoch}")
                 exc.history = history
-                raise exc
-            adam_step(params, grads, state, lr)
+                raise exc from None
             loss_sum += loss * idx.size
         train_loss = loss_sum / N
         test_loss = dataset_loss(net, test, workspace=workspace)

@@ -11,11 +11,17 @@ height 4*sqrt(m0) equals Hs by construction.
 
 Irregular waves are realized by random-phase harmonic superposition over an
 equal-width frequency grid with seeded intra-bin jitter (the jitter prevents
-the series from repeating within a 3 h record).
+the series from repeating within a 3 h record).  The harmonic sum runs in
+column blocks of about ``BLOCK_COLUMNS`` samples on one worker thread per
+core the process may use; each column still sums its bins in order, so the
+output is bit-identical to the sum of one (bins, samples) matrix.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +40,8 @@ CALIBRATION_POINTS = 40001
 # Synthesis band and its bin count.
 SYNTHESIS_BAND = (0.25, 4.0)
 BIN_COUNT = 256
+# Samples per column block of the harmonic sum (each block is >= 2 wide).
+BLOCK_COLUMNS = 1024
 
 
 @dataclass(frozen=True)
@@ -127,7 +135,30 @@ def synthesize_wave(params: SpectrumParams, duration: float, dt: float,
     omegas = edges[:-1] + rng.uniform(0.0, 1.0, BIN_COUNT) * d_omega
     phases = rng.uniform(0.0, 2.0 * np.pi, BIN_COUNT)
     amplitudes = np.sqrt(2.0 * jonswap_density(omegas, params) * d_omega)
-    values = (amplitudes[:, None] * np.cos(omegas[:, None] * t[None, :]
-                                           + phases[:, None])).sum(axis=0)
+    values = np.empty(n_samples)
+
+    def blocks(bounds, buf):  # sum the columns between each pair of bounds into values
+        for lo, hi in zip(bounds, bounds[1:]):
+            block = buf[:BIN_COUNT * (hi - lo)].reshape(BIN_COUNT, hi - lo)
+            np.multiply(omegas[:, None], t[lo:hi], out=block)
+            block += phases[:, None]
+            np.cos(block, out=block)
+            block *= amplitudes[:, None]
+            block.sum(axis=0, out=values[lo:hi])
+
+    # near-equal blocks, >= 2 columns unless the wave is 1 sample (a 1-column
+    # sum is pairwise: other bits); each worker sums one contiguous run of
+    # blocks in a buffer allocated here, under a fresh copy of the caller's
+    # context, which holds numpy's error state
+    count = max(1, round(n_samples / BLOCK_COLUMNS))
+    bounds = [n_samples * k // count for k in range(count + 1)]
+    workers = min(len(os.sched_getaffinity(0)), count)
+    width = -(-n_samples // count)
+    with ThreadPoolExecutor(workers) as pool:
+        for future in [pool.submit(contextvars.copy_context().run, blocks,
+                                   bounds[count * j // workers:count * (j + 1) // workers + 1],
+                                   np.empty(BIN_COUNT * width))
+                       for j in range(workers)]:
+            future.result()
     return TimeSeries(dt=dt, values=values)
 

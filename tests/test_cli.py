@@ -301,12 +301,13 @@ class TestPipeline:
         assert not out.exists()
 
     def test_diverging_train_ends_in_one_line(self, workspace, tmp_path, capsys):
-        """numpy's floating-point error is the error, with no warning lines before it."""
+        """A step's floating-point error is training's own divergence error,
+        with no warning lines before it."""
         root, config = workspace
         code = main(["train", "--config", str(config), "--set", "initial_lr=1e20",
                      "--campaign", str(root / "sim" / "campaign"),
                      "--output", str(tmp_path)])
-        assert "encountered in" in one_error_line(code, capsys)
+        assert one_error_line(code, capsys) == "error: training diverged at epoch 0"
         assert not (tmp_path / "checkpoint.json").exists()
 
     def test_evaluate_repeats_the_test_row_of_train(self, workspace, tmp_path):

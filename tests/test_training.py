@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from semisub_motion.dataset import NormalizationConstants, WindowedDataset
-from semisub_motion.errors import ConfigurationError, DomainError
+from semisub_motion.errors import ConfigurationError, DomainError, NumericalError
 from semisub_motion.network import Workspace, forward, init_network
 from semisub_motion.training import (AdamState, TrainingConfig, adam_step,
                                      dataset_loss, lr_schedule, predict, train)
@@ -131,6 +131,16 @@ class TestTrain:
         with pytest.raises(ConfigurationError):
             train(net, toy_dataset(m=3), toy_dataset(m=3),
                   TrainingConfig(max_epochs=1))
+
+    def test_raised_floating_point_error_is_divergence(self):
+        """Under numpy's raise policy a step's overflow (float32 loss beyond
+        3.4e38 at lr 1e20) ends training as a non-finite loss does."""
+        net = init_network(1, [4], 1, 4, 3, seed=0).astype(np.float32)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            with pytest.raises(NumericalError, match="^training diverged at epoch 0$") as err:
+                train(net, toy_dataset(seed=0), toy_dataset(seed=1, role="test"),
+                      TrainingConfig(initial_lr=1e20, max_epochs=5, batch_size=64))
+        assert err.value.history == []
 
     def test_duplicated_dataset_same_loss(self):
         net = init_network(1, [4], 1, 4, 3, seed=8)

@@ -1,11 +1,15 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from semisub_motion import waves
 from semisub_motion.errors import ConfigurationError, DomainError
 from semisub_motion.timeseries import TimeSeries
-from semisub_motion.waves import (SpectrumParams, calibrate_alpha,
-                                  jonswap_density, synthesize_wave)
+from semisub_motion.waves import (BIN_COUNT, SYNTHESIS_BAND, SpectrumParams,
+                                  calibrate_alpha, jonswap_density, synthesize_wave)
 from support import estimate_spectrum
 
 WC_TABLE = [(13.4, 14.2), (13.4, 14.7), (13.4, 15.7),
@@ -123,6 +127,48 @@ class TestSynthesizeWave:
         # mean of ~duration/Tp independent oscillations
         bound = 3 * sigma / np.sqrt(10800 / 14.7)
         assert abs(np.mean(means)) < bound
+
+
+def whole_matrix_wave(params, samples, dt, seed):
+    """The harmonic sum as one (BIN_COUNT, samples) matrix: the bits the
+    column blocks must reproduce."""
+    wp = params.omega_p
+    t = dt * np.arange(samples)
+    edges = np.linspace(SYNTHESIS_BAND[0] * wp, SYNTHESIS_BAND[1] * wp, BIN_COUNT + 1)
+    d_omega = np.diff(edges)
+    rng = np.random.default_rng(seed)
+    omegas = edges[:-1] + rng.uniform(0.0, 1.0, BIN_COUNT) * d_omega
+    phases = rng.uniform(0.0, 2.0 * np.pi, BIN_COUNT)
+    amplitudes = np.sqrt(2.0 * jonswap_density(omegas, params) * d_omega)
+    return (amplitudes[:, None] * np.cos(omegas[:, None] * t[None, :]
+                                         + phases[:, None])).sum(axis=0)
+
+
+class TestColumnBlocks:
+    """The harmonic sum runs in column blocks on worker threads, bit for bit."""
+
+    # one block +- 1; a last block 1 column wide at 1024-column blocks
+    # (2049, 13313); full scale (13935 samples of a 3 h run at 0.775 s)
+    @pytest.mark.parametrize("samples", [2, 3, 5, 1023, 1024, 1025, 2049, 13313, 13935])
+    @pytest.mark.parametrize("cores", [1, 2, 5])
+    def test_bit_identical_to_whole_matrix(self, params, samples, cores, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        threads = threading.active_count()
+        wave = synthesize_wave(params, samples * 0.775, 0.775, seed=7)
+        assert threading.active_count() == threads  # no worker outlives the call
+        assert len(wave) == samples
+        assert wave.values.tobytes() == whole_matrix_wave(params, samples, 0.775, 7).tobytes()
+
+    def test_workers_keep_the_callers_error_state(self, params, monkeypatch):
+        """An infinite density passes the main thread's amplitudes as inf
+        without a floating-point flag; only the bin sum, on the workers,
+        meets inf - inf.  Under the CLI's policy that raises, as it did when
+        the sum ran on the calling thread."""
+        monkeypatch.setattr(waves, "jonswap_density",
+                            lambda omega, p: np.full(np.shape(omega), np.inf))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            with pytest.raises(FloatingPointError):
+                synthesize_wave(params, 3000 * 0.775, 0.775, seed=7)
 
 
 class TestEstimateSpectrum:
