@@ -40,7 +40,9 @@ from .vessel import CHANNELS, MOTIONS, CampaignRun
 WINDOW_SPEC = {
     "channel": one_of(*MOTIONS), "n": at_least(1), "m": at_least(1),
     "w": at_least(0), "r": one_of(1, 2), "dt": POSITIVE,
-    "norm": {"A": {ch: FLOAT for ch in CHANNELS}, "B": {ch: POSITIVE for ch in CHANNELS}},
+    # a subnormal scale B overflows the windows divided by it
+    "norm": {"A": {ch: FLOAT for ch in CHANNELS},
+             "B": {ch: at_least(np.finfo(float).tiny, "float") for ch in CHANNELS}},
 }
 
 

@@ -44,14 +44,26 @@ and a cache serves one ``backward`` only.  After the loop one batched
 product of ``da`` with Z gives the input, bias and recurrent weight
 gradients together; the bottom layer's input gradient is never formed.
 
-Both time loops write into preallocated buffers (``out=``), and a
-``Workspace`` holds those buffers and the caches.  ``training.train``
-passes one workspace to every ``backward`` call and to its per-epoch test
-loss, so each step after the first reuses the same memory and allocates
-nothing batch-sized.  Without one, every call allocates its own buffers.  Buffers are sized by capacity,
-so a short last batch views the front of the same memory.  The loops
-evaluate every element in the same order as an allocating loop would, so
-reusing memory changes no bit.
+Both time loops write into preallocated buffers, and a ``Workspace``
+holds those buffers and the caches.  ``training.train`` passes one
+workspace to every ``backward`` call and to its per-epoch test loss, so
+each step after the first reuses the same memory and allocates nothing
+batch-sized.  Without one, every call allocates its own buffers.  Buffers
+are sized by capacity, so a short last batch views the front of the same
+memory.  The loops evaluate every element in the same order as an
+allocating loop would, so reusing memory changes no bit.
+
+At B = 1 a step costs its nine numpy calls plus their Python overhead, so
+neither loop makes a view that stays the same from step to step: each
+takes its views once per call, and its ufuncs get their outputs by
+position.  Without a cache every forward step reuses block 0 of the gates,
+the cell state and its tanh, so the gate rows i, f, g, o, c and tanh(c)
+are viewed once; with one, each step's blocks come from iterating the
+buffers, and ``Z[t]`` and h_t's rows ``Z[t + 1, r + 1:]`` from iterating Z.
+BPTT iterates the reversed cache the same way, and views its derivative
+rows once.  The rule for these loops: a rewrite may change which views
+exist, never which operations run on which values in which order, so
+every output stays bit for bit the same.
 
 The kernel computes in the network's dtype: ``forward`` casts the windows
 to it (no copy if they have it), ``backward`` casts the targets, and every
@@ -62,6 +74,7 @@ BPTT gradient checks difference.  ``Network.astype`` copies to a dtype.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -246,13 +259,18 @@ def lstm_forward(layer: LstmLayerParams, inputs: np.ndarray,
     H = layer.hidden_size
     if r != layer.input_size:
         raise DomainError(f"input feature count {r} != layer input size {layer.input_size}")
+    if n < 1:
+        raise DomainError(f"a window needs at least one step, got {n}")
     ws = Workspace() if workspace is None else workspace
     dtype = np.result_type(inputs, layer.W_input)
     # s (per gate i, f, g, o) is 1/2 or 1, so pre-scaling the weights and bias
     # scales the pre-activations exactly: s * a comes out of the product itself
-    scale = np.repeat(np.array([[0.5], [0.5], [1.0], [0.5]], dtype), H, axis=0)
-    W = np.hstack([layer.W_input, (layer.b_input + layer.b_hidden)[:, None],
-                   layer.W_hidden]) * scale
+    W = np.concatenate([layer.W_input, (layer.b_input + layer.b_hidden)[:, None],
+                        layer.W_hidden], axis=1, dtype=dtype)
+    W[:2 * H] *= 0.5
+    W[3 * H:] *= 0.5
+    scale = np.full((4 * H, 1), 0.5, dtype)
+    scale[2 * H:3 * H] = 1.0
     shift = 1 - scale
     Z = ws.array("Z", (n + 1, r + 1 + H, B), dtype)
     Z[:n, :r] = inputs.transpose(1, 2, 0)
@@ -265,15 +283,20 @@ def lstm_forward(layer: LstmLayerParams, inputs: np.ndarray,
     c_seq[0] = 0
     tanh_c = ws.array("tanh_c", (step * (n - 1) + 1, H, B), dtype)
     ig = ws.array("ig", (H, B), dtype)
-    for t in range(n):
-        a = np.matmul(W, Z[t], out=gates[step * t])
-        np.tanh(a, out=a)
-        a *= scale
-        a += shift
-        c = np.multiply(a[H:2 * H], c_seq[step * t], out=c_seq[step * (t + 1)])
-        c += np.multiply(a[:H], a[2 * H:3 * H], out=ig)
-        tc = np.tanh(c, out=tanh_c[step * t])
-        np.multiply(a[3 * H:], tc, out=Z[t + 1, r + 1:])
+    # a step's gates, their i, f, g, o rows, c_{t-1}, c_t and tanh(c_t)
+    blocks = zip(gates, *(gates[:, k * H:(k + 1) * H] for k in range(4)),
+                 c_seq[:n], c_seq[step:], tanh_c)
+    if cache is None:  # every step reuses block 0, so its views are taken once
+        blocks = itertools.repeat(next(blocks), n)
+    for z, h, (a, i, f, g, o, c_prev, c, tc) in zip(Z, Z[1:, r + 1:], blocks):
+        np.matmul(W, z, a)
+        np.tanh(a, a)
+        np.multiply(a, scale, a)
+        np.add(a, shift, a)
+        np.multiply(f, c_prev, c)
+        np.add(c, np.multiply(i, g, ig), c)
+        np.tanh(c, tc)
+        np.multiply(o, tc, h)
     hs = Z[1:, r + 1:].transpose(2, 0, 1)
     if cache is not None:
         cache.update(Z=Z, hs=hs, gates=gates, c=c_seq, tanh_c=tanh_c)
@@ -302,32 +325,38 @@ def _lstm_backward(layer: LstmLayerParams, cache: dict, dh_seq: np.ndarray,
     dh_rec[...] = 0
     dc_rec[...] = 0
     deriv = ws.array("deriv", (4 * H, B), dtype)
-    blocks = ((slice(0, 2 * H), 0.5), (slice(2 * H, 3 * H), 1.0), (slice(3 * H, None), 0.5))
-    for t in range(n - 1, -1, -1):
-        d = da[t]  # the step's gates, each overwritten by its gradient once read
-        i, f, g, o = d[:H], d[H:2 * H], d[2 * H:3 * H], d[3 * H:]
-        tc = tanh_c[t]
-        np.add(dh_seq[t], dh_rec, out=dh)
+    deriv_i, deriv_fgo = deriv[:H], deriv[H:]
+    deriv_blocks = ((deriv[:2 * H], 0.5), (deriv[2 * H:3 * H], 1.0), (deriv[3 * H:], 0.5))
+    W_hidden_T = layer.W_hidden.T
+    # from the last step back: the step's gates (each overwritten by its
+    # gradient once read) whole, as i, f, g, o, as (i, f) and as (f, g, o);
+    # then c_{t-1}, tanh(c_t) and dh_t
+    rows = ((0, 4), (0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (1, 4))
+    steps = zip(*(seq[::-1] for seq in (*(da[:, lo * H:hi * H] for lo, hi in rows),
+                                         c_seq[:n], tanh_c, dh_seq)))
+    for d, i, f, g, o, i_f, fgo, c_prev, tc, dh_t in steps:
+        np.add(dh_t, dh_rec, dh)
         # dc = dh * o * (1 - tc^2) + dc_rec
-        np.square(tc, out=scratch)
-        np.subtract(1.0, scratch, out=scratch)
-        np.multiply(dh, o, out=dc)
+        np.square(tc, scratch)
+        np.subtract(1.0, scratch, scratch)
+        np.multiply(dh, o, dc)
         dc *= scratch
         dc += dc_rec
         # gate derivative s^2 - (gate - (1 - s))^2: i(1 - i), or 1 - g^2 where s = 1
-        for rows, s in blocks:
-            gate = d[rows] if s == 1 else np.subtract(d[rows], 1 - s, out=deriv[rows])
-            np.subtract(s * s, np.square(gate, out=deriv[rows]), out=deriv[rows])
-        np.multiply(dc, f, out=dc_rec)
+        for gate, (out, s) in zip((i_f, g, o), deriv_blocks):
+            if s != 1:
+                gate = np.subtract(gate, 1 - s, out)
+            np.subtract(s * s, np.square(gate, out), out)
+        np.multiply(dc, f, dc_rec)
         # o and f are read; i and g each feed the other's slot, so dc * g
         # waits in scratch until dc * i has been formed over g
-        np.multiply(dh, tc, out=o)
-        np.multiply(dc, c_seq[t], out=f)
-        np.multiply(dc, g, out=scratch)
-        np.multiply(dc, i, out=g)
-        np.multiply(scratch, deriv[:H], out=i)
-        d[H:] *= deriv[H:]
-        np.matmul(layer.W_hidden.T, d, out=dh_rec)
+        np.multiply(dh, tc, o)
+        np.multiply(dc, c_prev, f)
+        np.multiply(dc, g, scratch)
+        np.multiply(dc, i, g)
+        np.multiply(scratch, deriv_i, i)
+        fgo *= deriv_fgo
+        np.matmul(W_hidden_T, d, dh_rec)
     grad = np.matmul(da, Z[:n].transpose(0, 2, 1),
                      out=ws.array("grad", (n, 4 * H, Z.shape[1]), dtype)).sum(axis=0)
     # b_input and b_hidden enter every gate as a sum: identical gradients

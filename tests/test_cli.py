@@ -275,13 +275,17 @@ class TestPipeline:
         assert "b_input[0] must be float" in one_error_line(code, capsys)
         assert not (tmp_path / "eval").exists()
 
-    @pytest.mark.parametrize("A, B", [(None, 1e-320), (1.7e308, 1e308)],
-                             ids=["regularize_overflows", "restore_overflows"])
+    @pytest.mark.parametrize("A, B, message", [
+        (None, 1e-320, "norm.B.heave must be finite and >= 2.2250738585072014e-308"),
+        (1.7e308, 1e308, "overflow"),
+    ], ids=["regularize_overflows", "restore_overflows"])
     def test_predict_refuses_norm_that_overflows(self, workspace, tmp_path, capsys,
-                                                 A, B):
-        """Norm constants that pass the table but overflow float64 on the way in
-        or out end in one error line, not in a constant or infinite forecast.
-        The output layer is set to forecast 1.0, so 1.0 * B + A overflows."""
+                                                 A, B, message):
+        """A subnormal scale B is refused when the checkpoint is read, in a line
+        that names the field; norm constants that pass the table but overflow
+        float64 on the way out end in one error line, not in an infinite
+        forecast.  The output layer is set to forecast 1.0, so 1.0 * B + A
+        overflows."""
         root, _ = workspace
         doc = json.loads((root / "model" / "checkpoint.json").read_text())
         head = doc["fc_layers"][-1]
@@ -297,7 +301,7 @@ class TestPipeline:
         code = main(["predict", "--checkpoint", str(checkpoint),
                      "--motion", str(run_dir / "WC2_heave.csv"),
                      "--wave", str(run_dir / "WC2_wave.csv"), "--output", str(out)])
-        assert "overflow" in one_error_line(code, capsys)
+        assert message in one_error_line(code, capsys)
         assert not out.exists()
 
     def test_diverging_train_ends_in_one_line(self, workspace, tmp_path, capsys):

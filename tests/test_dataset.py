@@ -372,3 +372,17 @@ class TestDatasetIO:
         assert loaded.norm == test.norm
         manifest = json.loads(path.with_suffix(".csv.manifest.json").read_text())
         assert {k: manifest[k] for k in window_spec(test)} == window_spec(test)
+
+    def test_subnormal_norm_scale_rejected(self, campaign, tmp_path):
+        """A scale B below the smallest normal float passes as positive, but
+        dividing a window by it overflows; the manifest's field is named."""
+        _, test = split_campaign(campaign, "heave", 12, 6, 6)
+        path = tmp_path / "test.csv"
+        save_dataset(test, path)
+        manifest_path = path.with_suffix(".csv.manifest.json")
+        manifest = json.loads(manifest_path.read_text())
+        manifest["norm"]["B"]["wave"] = 1e-320
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(DomainError, match=r"norm\.B\.wave must be finite and >= "
+                                              r"2\.2250738585072014e-308, got 1e-320"):
+            load_dataset(path)

@@ -89,6 +89,16 @@ class TestLstmForward:
         with pytest.raises(DomainError):
             lstm_forward(layer, np.zeros((4, 5, 3)))
 
+    def test_zero_step_windows_rejected(self):
+        """A window of no steps has no last hidden state to forecast from:
+        forward and backward refuse it in their own words."""
+        net = init_network(2, [4], 1, 3, 2)
+        for call in (lambda: forward(net, np.zeros((3, 0, 2))),
+                     lambda: forward(net, np.zeros((0, 2))),
+                     lambda: backward(net, np.zeros((3, 0, 2)), np.zeros((3, 2)))):
+            with pytest.raises(DomainError, match="at least one step, got 0"):
+                call()
+
 
 class TestForward:
     def test_zero_network_zero_output(self):
@@ -341,6 +351,128 @@ class TestWorkspace:
         assert peak < 60 * 4 * 50 * 512 * np.dtype(np.float64).itemsize
 
 
+def reference_lstm_forward(layer, inputs, cache=None, *, workspace=None):
+    """``lstm_forward``'s step loop as it was before it took its views once
+    per call: each step slices its gates, cell states and Z blocks again."""
+    B, n, r = inputs.shape
+    H = layer.hidden_size
+    ws = network.Workspace() if workspace is None else workspace
+    dtype = np.result_type(inputs, layer.W_input)
+    scale = np.repeat(np.array([[0.5], [0.5], [1.0], [0.5]], dtype), H, axis=0)
+    W = np.hstack([layer.W_input, (layer.b_input + layer.b_hidden)[:, None],
+                   layer.W_hidden]) * scale
+    shift = 1 - scale
+    Z = ws.array("Z", (n + 1, r + 1 + H, B), dtype)
+    Z[:n, :r] = inputs.transpose(1, 2, 0)
+    Z[:n, r] = 1.0
+    Z[0, r + 1:] = 0.0
+    step = 1 if cache is not None else 0
+    gates = ws.array("gates", (step * (n - 1) + 1, 4 * H, B), dtype)
+    c_seq = ws.array("c", (step * n + 1, H, B), dtype)
+    c_seq[0] = 0
+    tanh_c = ws.array("tanh_c", (step * (n - 1) + 1, H, B), dtype)
+    ig = ws.array("ig", (H, B), dtype)
+    for t in range(n):
+        a = np.matmul(W, Z[t], out=gates[step * t])
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
+        c = np.multiply(a[H:2 * H], c_seq[step * t], out=c_seq[step * (t + 1)])
+        c += np.multiply(a[:H], a[2 * H:3 * H], out=ig)
+        tc = np.tanh(c, out=tanh_c[step * t])
+        np.multiply(a[3 * H:], tc, out=Z[t + 1, r + 1:])
+    hs = Z[1:, r + 1:].transpose(2, 0, 1)
+    if cache is not None:
+        cache.update(Z=Z, hs=hs, gates=gates, c=c_seq, tanh_c=tanh_c)
+    return hs
+
+
+def reference_lstm_backward(layer, cache, dh_seq, ws):
+    """``_lstm_backward``'s step loop as it was before it took its views
+    once per call."""
+    Z, da, c_seq, tanh_c = cache["Z"], cache["gates"], cache["c"], cache["tanh_c"]
+    n, four_h, B = da.shape
+    H, r = four_h // 4, layer.input_size
+    dtype = da.dtype
+    dh, dc, dc_rec, dh_rec, scratch = (ws.array(name, (H, B), dtype) for name in
+                                       ("dh", "dc", "dc_rec", "dh_rec", "scratch"))
+    dh_rec[...] = 0
+    dc_rec[...] = 0
+    deriv = ws.array("deriv", (4 * H, B), dtype)
+    blocks = ((slice(0, 2 * H), 0.5), (slice(2 * H, 3 * H), 1.0), (slice(3 * H, None), 0.5))
+    for t in range(n - 1, -1, -1):
+        d = da[t]
+        i, f, g, o = d[:H], d[H:2 * H], d[2 * H:3 * H], d[3 * H:]
+        tc = tanh_c[t]
+        np.add(dh_seq[t], dh_rec, out=dh)
+        np.square(tc, out=scratch)
+        np.subtract(1.0, scratch, out=scratch)
+        np.multiply(dh, o, out=dc)
+        dc *= scratch
+        dc += dc_rec
+        for rows, s in blocks:
+            gate = d[rows] if s == 1 else np.subtract(d[rows], 1 - s, out=deriv[rows])
+            np.subtract(s * s, np.square(gate, out=deriv[rows]), out=deriv[rows])
+        np.multiply(dc, f, out=dc_rec)
+        np.multiply(dh, tc, out=o)
+        np.multiply(dc, c_seq[t], out=f)
+        np.multiply(dc, g, out=scratch)
+        np.multiply(dc, i, out=g)
+        np.multiply(scratch, deriv[:H], out=i)
+        d[H:] *= deriv[H:]
+        np.matmul(layer.W_hidden.T, d, out=dh_rec)
+    grad = np.matmul(da, Z[:n].transpose(0, 2, 1),
+                     out=ws.array("grad", (n, 4 * H, Z.shape[1]), dtype)).sum(axis=0)
+    db = grad[:, r]
+    return [grad[:, :r].copy(), grad[:, r + 1:].copy(), db.copy(), db.copy()]
+
+
+def kernel_bytes(net, X, Y, workspace):
+    """The bytes of a cached forward pass (its output, and each LSTM layer's
+    Z[:n], hidden sequence, gates, cell states and their tanh), of an
+    uncached one, and of ``backward``'s loss and gradients."""
+    n = X.shape[1]
+    caches = []
+    out = forward(net, X, caches=caches, workspace=workspace).tobytes()
+    cached = [[cache["Z"][:n].tobytes(), cache["hs"].tobytes(), cache["gates"].tobytes(),
+               cache["c"].tobytes(), cache["tanh_c"].tobytes()]
+              for cache in caches[:len(net.lstm_layers)]]
+    uncached = forward(net, X, workspace=workspace).tobytes()
+    loss, grads = backward(net, X, Y, workspace=workspace)
+    return out, cached, uncached, loss, [(g.dtype, g.tobytes()) for g in grads]
+
+
+class TestStepLoops:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hidden", [[50], [30, 30]])
+    @pytest.mark.parametrize("batches, reuse", [((1, 2, 7, 486, 512), False),
+                                                ((512, 486, 1), True)],
+                             ids=["fresh_workspace", "reused_workspace"])
+    def test_bytes_match_per_step_slicing(self, monkeypatch, dtype, hidden, batches,
+                                          reuse):
+        """Taking the step loops' views once per call changes no bit: the
+        forward output, the BPTT cache and every gradient equal those of the
+        loops that slice each step again, with a fresh workspace per call and
+        with one workspace shrinking from 512 windows to 1.  The cached and
+        the uncached forward pass give the same bytes."""
+        rng = np.random.default_rng(27)
+        net = init_network(2, hidden, 1, 8, 3, seed=28).astype(dtype)
+        workspaces = [network.Workspace(), network.Workspace()]
+        for B in batches:
+            X = rng.normal(size=(B, 9, 2))
+            Y = rng.normal(size=(B, 3))
+            if not reuse:
+                workspaces = [network.Workspace(), network.Workspace()]
+            got = kernel_bytes(net, X, Y, workspaces[0])
+            with monkeypatch.context() as patch:
+                patch.setattr(network, "lstm_forward", reference_lstm_forward)
+                patch.setattr(network, "_lstm_backward", reference_lstm_backward)
+                want = kernel_bytes(net, X, Y, workspaces[1])
+            assert got == want
+            out, _, uncached, _, _ = got
+            assert out == uncached
+
+
 class TestCountParams:
     def test_reference_architecture(self):
         net = init_network(2, [50], 3, 50, 20, seed=0)
@@ -426,8 +558,10 @@ class TestCheckpoint:
          r"lstm_layers\[0\]\.b_input\[0\] must be float, got '0.5'"),
         (lambda doc: doc["lstm_layers"][0]["b_hidden"].__setitem__(0, True),
          r"lstm_layers\[0\]\.b_hidden\[0\] must be float, got True"),
+        (lambda doc: doc["meta"]["norm"]["B"].update(heave=1e-320),
+         r"meta\.norm\.B\.heave must be finite and >= 2\.2250738585072014e-308"),
     ], ids=["nan_weight", "beyond_float32", "layers_do_not_chain", "meta_r", "meta_m",
-            "text_weight", "bool_weight"])
+            "text_weight", "bool_weight", "subnormal_norm_B"])
     def test_inconsistent_checkpoint_rejected(self, tmp_path, defect, message):
         import json
         net = init_network(2, [3], 1, 4, 2, seed=0)
